@@ -5,8 +5,9 @@ Face equations over GF(3) and exact coloring counts
 Assign each vertex a spin in {+1, -1}.  A face is satisfied when its
 vertex spins sum to 0 mod 3.  The everywhere-nonzero solutions of the
 resulting linear system (Heawood vectors) are in 3-to-1 correspondence
-with the proper 3-edge-colorings, so counting colorings is exact linear
-algebra plus a small sign enumeration.
+with the proper 3-edge-colorings, so counting colorings is counting
+everywhere-nonzero solutions, which a sweep over the face equations does
+without listing them.
 """
 
 from heawood import (
@@ -35,8 +36,9 @@ print("\nrank:", sle_rank(g), "(n =", g.n_vertices // 2, ")")
 for vec in enumerate_heawood_vectors(g):
     print("Heawood vector:", vec.signs)
 
-# Each vector stands for three colorings (cyclic color shifts), and the
-# independent brute-force oracle agrees with the algebraic count.
+# Each vector stands for three colorings (cyclic color shifts).  The
+# algebraic count sweeps the vertices, keeping only the partial face sums
+# still open, and the independent brute-force oracle agrees with it.
 algebraic = count_tait_colorings_heawood(g)
 brute = count_tait_oracle(g)
 print(f"\ncolorings: algebraic={algebraic}, oracle={brute}")

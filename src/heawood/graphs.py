@@ -145,6 +145,10 @@ def _canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
 
 def _next_dart(rotations: Sequence[Sequence[int]], dart: Dart) -> Dart:
     u, w = dart
+    if not 0 <= w < len(rotations):
+        raise FaceTraversalError(
+            f"vertex {u} lists unknown neighbor {w}; face walk cannot continue"
+        )
     triple = rotations[w]
     try:
         k = triple.index(u)

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from heawood import EmbeddedCubicGraph
+
+# The repository root, so that tests can draw random planar embeddings
+# from the benchmark's generator (perfbench.graphgen).
+ROOT = str(Path(__file__).resolve().parent.parent)
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
 
 # The 6-vertex prism exactly as drawn in the classic figure, 0-based:
 # triangles {0,1,2} and {3,4,5}, rungs 0-5, 1-3, 2-4, outer quad (0,1,3,5).

@@ -60,6 +60,17 @@ class TestFaces:
         cycles = {tuple(f["cycle"]) for f in payload["faces"]}
         assert (1, 2, 3) in cycles  # the rim triangle in figure labels
 
+    def test_unknown_neighbor_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "unknown.graph"
+        path.write_text(
+            "vertices 4\n0: 1 2 3\n1: 0 2 3\n2: 0 1 3\n3: 0 2 7\n", encoding="utf-8"
+        )
+        assert main(["faces", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "unknown neighbor 7" in captured.err
+
 
 class TestRank:
     def test_default_drop(self, cl3_file, capsys):
@@ -189,6 +200,12 @@ class TestVerify:
         assert by_n[3]["oracle"] == 6
         assert by_n[8]["oracle"] is None  # oracle only runs for small cases
         assert by_n[8]["heawood"] == by_n[8]["formula"] == 2**8 + 8
+
+    def test_cln_range_beyond_enumeration(self, capsys):
+        assert main(["verify-cln", "--from", "3", "--to", "40", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["all_ok"] is True
+        assert [row["n"] for row in payload["rows"]] == list(range(3, 41))
 
     def test_mobius_range(self, capsys):
         assert main(["verify-mobius", "--from", "3", "--to", "6", "--json"]) == 0

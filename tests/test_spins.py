@@ -1,5 +1,7 @@
 """The main face system, Heawood vectors, and the coloring correspondence."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,10 @@ from heawood import (
     bipartite_heawood_vector,
     build_main_sle,
     circular_ladder,
+    cln_formula,
     contract_triangle,
     count_tait_colorings_heawood,
+    count_tait_oracle,
     edges,
     enumerate_heawood_vectors,
     enumerate_tait_oracle,
@@ -29,7 +33,8 @@ from heawood import (
     trace_faces,
     validate,
 )
-from heawood import gf3
+from heawood import gf3, spins
+from perfbench.graphgen import fresh_relabelling, random_planar_cubic
 
 from conftest import CL3_PAPER, CL3_PAPER_TO_GENERATOR, DUMBBELL, kernel_scan
 
@@ -174,6 +179,63 @@ class TestEnumerate:
         assert count_tait_colorings_heawood(CL3_PAPER) == 6
         assert count_tait_colorings_heawood(circular_ladder(4)) == 24
         assert count_tait_colorings_heawood(k4()) == 6
+
+
+def _contractions(g):
+    for face in trace_faces(g):
+        if len(face) == 3:
+            try:
+                yield contract_triangle(g, face.face_id)
+            except ContractionError:
+                pass
+
+
+def _named_graphs():
+    graphs = [circular_ladder(n) for n in range(3, 13)] + [k4(), CL3_PAPER]
+    return graphs + [c for g in graphs for c in _contractions(g)]
+
+
+class TestCountSweep:
+    """The frontier count against enumeration, the oracle and closed forms."""
+
+    @pytest.mark.parametrize("g", _named_graphs())
+    def test_matches_enumeration_under_relabelling(self, g):
+        rng = random.Random(g.n_vertices)
+        expected = 3 * len(enumerate_heawood_vectors(g))
+        assert count_tait_colorings_heawood(g) == expected
+        for _ in range(3):
+            relabelled, _ = fresh_relabelling(g, rng)
+            assert count_tait_colorings_heawood(relabelled) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_embeddings_match_enumeration_and_oracle(self, seed):
+        rng = random.Random(f"count-sweep:{seed}")
+        for n_vertices in range(4, 29, 2):
+            g = random_planar_cubic(n_vertices, rng)
+            count = count_tait_colorings_heawood(g)
+            assert count == 3 * len(enumerate_heawood_vectors(g)), n_vertices
+            if n_vertices <= 20:
+                assert count == count_tait_oracle(g), n_vertices
+
+    @pytest.mark.parametrize("n", [50, 101, 200])
+    def test_circular_ladders_beyond_enumeration(self, n):
+        assert count_tait_colorings_heawood(circular_ladder(n)) == cln_formula(n)
+
+    def test_never_enumerates(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("counting enumerated the Heawood vectors")
+
+        monkeypatch.setattr(spins, "enumerate_heawood_vectors", refuse)
+        assert count_tait_colorings_heawood(circular_ladder(9)) == cln_formula(9)
+
+    def test_invalid_graph_rejected(self):
+        with pytest.raises(InvalidGraphError):
+            count_tait_colorings_heawood(DUMBBELL)
+
+    def test_outer_hint_matching_no_face_rejected(self):
+        g = EmbeddedCubicGraph(CL3_PAPER.rotations, outer_face_hint=(0, 1, 4))
+        with pytest.raises(InvalidGraphError, match="outer face hint"):
+            count_tait_colorings_heawood(g)
 
 
 class TestHeawoodVectorType:
