@@ -9,6 +9,7 @@ at 1; set-valued inputs are then read as 1-based too).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -325,6 +326,7 @@ def _cmd_verify_mobius(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON document on stdout")

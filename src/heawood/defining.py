@@ -2,9 +2,12 @@
 
 A vertex set S is *linear-defining* when the columns outside S are
 linearly independent, i.e. no nonzero kernel vector vanishes on S, so
-values on S extend to at most one solution.  It is *Heawood-defining*
-when restricting the enumerated Heawood vectors to S is injective; a
-linear-defining set is always Heawood-defining, not conversely.
+values on S extend to at most one solution.  The minimal ones are
+therefore exactly the complements of the column bases of the system
+(matroid duality), and all have size 2n - rank: n - 1, or n when the
+graph is bipartite.  A set is *Heawood-defining* when restricting the
+enumerated Heawood vectors to S is injective; a linear-defining set is
+always Heawood-defining, not conversely.  Supersets of defining sets define.
 
 A *zebra witness* for a vertex set T is a nonzero combination of the kept
 face equations whose support (vertices with nonzero coefficient in the
@@ -41,6 +44,9 @@ __all__ = [
 VertexSet = frozenset[int]
 
 MAX_SUBSET_SEARCH_VERTICES = 16
+
+# Vertex masks per heawood-mode step: at most 2**8 vectors on 16 vertices keep it ~4 MB.
+_MASK_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -125,16 +131,15 @@ def minimal_defining_sets(
 ) -> tuple[frozenset[int], ...]:
     """All inclusion-minimal defining sets of size <= max_size.
 
-    Subsets are enumerated by increasing size; a candidate containing an
-    already-found minimal set is skipped, so every defining set that gets
-    through is minimal.  Refuses graphs above the supported size instead of
-    silently truncating.
+    Linear mode returns the complements of the column bases of the main
+    system, found by one batched elimination of every rank-sized column
+    block of its reduced form.  Heawood mode tabulates, for every vertex
+    mask, whether the Heawood vectors masked to it are distinct; a defining
+    mask is minimal when no mask one vertex smaller is defining.  Sets come
+    sorted by size, then by sorted members.  Refuses graphs above the
+    supported size instead of silently truncating.
     """
-    if mode == "linear":
-        predicate = is_linear_defining
-    elif mode == "heawood":
-        predicate = is_heawood_defining
-    else:
+    if mode not in ("linear", "heawood"):
         raise ValueError(f"mode must be 'linear' or 'heawood', got {mode!r}")
     n_vertices = g.n_vertices
     if n_vertices > MAX_SUBSET_SEARCH_VERTICES:
@@ -145,12 +150,30 @@ def minimal_defining_sets(
     limit = n_vertices if max_size is None else int(max_size)
     if limit < 0:
         raise ValueError("max_size must be non-negative")
-    found: list[frozenset[int]] = []
-    for size in range(0, min(limit, n_vertices) + 1):
-        for combo in itertools.combinations(range(n_vertices), size):
-            candidate = frozenset(combo)
-            if any(existing <= candidate for existing in found):
-                continue
-            if predicate(g, candidate):
-                found.append(candidate)
-    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+    if mode == "linear":
+        reduced = gf3.rref(build_main_sle(g).matrix)
+        rank = reduced.rank
+        if limit < n_vertices - rank:
+            return ()
+        bases = np.array(list(itertools.combinations(range(n_vertices), rank)), dtype=np.intp)
+        blocks = reduced.rref[:rank, bases].transpose(1, 0, 2)
+        everything = frozenset(range(n_vertices))
+        found = [everything.difference(b) for b in bases[gf3.nonsingular(blocks)].tolist()]
+    else:
+        vectors = enumerate_heawood_vectors(g)
+        codes = [sum(1 << v for v, s in enumerate(vec.spins) if s == 2) for vec in vectors]
+        codes = np.array(codes, dtype=np.int32)
+        masks = np.arange(1 << n_vertices, dtype=np.int32)
+        defining = np.empty(masks.size, dtype=bool)
+        for start in range(0, masks.size, _MASK_CHUNK):
+            seen = np.sort(masks[start : start + _MASK_CHUNK, None] & codes, axis=1)
+            defining[start : start + _MASK_CHUNK] = (seen[:, 1:] != seen[:, :-1]).all(axis=1)
+        minimal = defining.copy()
+        for v in range(n_vertices):
+            # Masks with bit v set sit at [:, 1], the same masks without it at [:, 0].
+            minimal.reshape(-1, 2, 1 << v)[:, 1] &= ~defining.reshape(-1, 2, 1 << v)[:, 0]
+        found = [
+            frozenset(v for v in range(n_vertices) if mask >> v & 1)
+            for mask in np.flatnonzero(minimal).tolist()
+        ]
+    return tuple(sorted((s for s in found if len(s) <= limit), key=lambda s: (len(s), sorted(s))))

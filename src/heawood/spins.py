@@ -28,6 +28,7 @@ of free variables of the main system.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,6 +39,7 @@ from . import gf3
 from .colorings import TaitColoring
 from .errors import (
     ContractionError,
+    EnumerationLimitError,
     InvalidGraphError,
     ImproperColoringError,
     NotAHeawoodVectorError,
@@ -75,6 +77,10 @@ _CACHED_GRAPHS = 8
 # Start vertices, spread over the labels, from which the counting sweep
 # tries a greedy order: one start alone made the cost depend on labelling.
 _ORDER_STARTS = 4
+
+# Largest sweep score (sum of 3**width) counted: near 3**17 a count took 5..30 s
+# and 0.1..0.4 GB; one of 3**19.4 ran past 100 s.
+MAX_SWEEP_SCORE = 3**17
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +238,9 @@ def count_tait_colorings_heawood(g: EmbeddedCubicGraph) -> int:
     which a face closing at the current vertex sums to nonzero.  All n+2
     faces are checked, the redundant one included.  Time and memory follow
     the number of such tuples, at most 3**width for a frontier of ``width``
-    open faces, whatever the number of colorings.
+    open faces, whatever the number of colorings.  Raises
+    ``EnumerationLimitError`` before sweeping when the best order found
+    scores above ``MAX_SWEEP_SCORE``.
     """
     _require_valid(g)
     faces = trace_faces(g)
@@ -248,6 +256,12 @@ def count_tait_colorings_heawood(g: EmbeddedCubicGraph) -> int:
         found = _greedy_order(g, vertex_faces, sizes, start, best_score)
         if found is not None:
             best_order, best_score = found
+    if best_score > MAX_SWEEP_SCORE:
+        raise EnumerationLimitError(
+            f"counting sweep is limited to score {MAX_SWEEP_SCORE} "
+            f"(3**{round(math.log(MAX_SWEEP_SCORE, 3))}); the best vertex order found "
+            f"scores {best_score} (about 3**{math.log(best_score, 3):.1f})"
+        )
     return 3 * _count_heawood_vectors(vertex_faces, sizes, best_order)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heawood import EmbeddedCubicGraph
+from heawood import ContractionError, EmbeddedCubicGraph, contract_triangle, trace_faces
 
 # The repository root, so that tests can draw random planar embeddings
 # from the benchmark's generator (perfbench.graphgen).
@@ -83,3 +83,13 @@ def brute_force_rank(matrix) -> int:
         dim += 1
     assert 3**dim == count, "kernel size must be a power of 3"
     return mat.shape[1] - dim
+
+
+def triangle_contractions(g):
+    """Every contraction of a triangular face of ``g`` that is defined."""
+    for face in trace_faces(g):
+        if len(face) == 3:
+            try:
+                yield contract_triangle(g, face.face_id)
+            except ContractionError:
+                pass

@@ -1,11 +1,18 @@
 """Command-line interface: every subcommand, JSON stability, exit codes."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import heawood
 from heawood import format_graph, parse_graph
 from heawood.cli import main
+from perfbench.graphgen import random_planar_cubic
 
 from conftest import CL3_PAPER
 
@@ -103,6 +110,16 @@ class TestCount:
             "method": "both",
             "oracle": 6,
         }
+
+    def test_refuses_a_sweep_too_wide(self, tmp_path, capsys):
+        rng = random.Random(3)
+        random_planar_cubic(300, rng)
+        path = tmp_path / "wide.graph"
+        path.write_text(format_graph(random_planar_cubic(300, rng)), encoding="utf-8")
+        assert main(["count", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: counting sweep is limited to score")
 
 
 class TestHeawoodList:
@@ -233,6 +250,26 @@ class TestDeterminism:
         main(["heawood", "list", cl3_file])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestRepeatedCalls:
+    def test_each_call_matches_a_fresh_process(self, cl3_file, capsys):
+        # One process reuses its parser across calls; every call must still
+        # answer exactly as the command run on its own does.
+        env = dict(os.environ, PYTHONPATH=str(Path(heawood.__file__).parent.parent))
+        for argv in (
+            ["count"],
+            ["count", cl3_file],
+            ["defining", cl3_file, "--mode", "heawood"],
+            ["count", cl3_file, "--json"],
+        ):
+            alone = subprocess.run(
+                [sys.executable, "-m", "heawood.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert main(argv) == alone.returncode
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (alone.stdout, alone.stderr)
 
 
 class TestUsageErrors:

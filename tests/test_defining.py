@@ -1,6 +1,7 @@
 """Defining sets, dependence witnesses, and their dualities."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -17,16 +18,48 @@ from heawood import (
     is_linear_defining,
     k4,
     minimal_defining_sets,
+    sle_rank,
     zebra_witness,
 )
 from heawood import gf3
+from perfbench.graphgen import fresh_relabelling, random_planar_cubic
 
-from conftest import CL3_PAPER, CL3_ZEBRA_PAIRS, kernel_scan
+from conftest import CL3_PAPER, CL3_ZEBRA_PAIRS, kernel_scan, triangle_contractions
 
 
 def all_subsets(n):
     for size in range(n + 1):
         yield from map(frozenset, itertools.combinations(range(n), size))
+
+
+def subset_search(g, mode, max_size=None):
+    """Minimal defining sets by testing subsets one by one, smallest first.
+
+    A subset containing an already-found set is skipped, so every defining
+    subset that gets through is minimal.
+    """
+    predicate = is_linear_defining if mode == "linear" else is_heawood_defining
+    limit = g.n_vertices if max_size is None else max_size
+    found = []
+    for candidate in all_subsets(g.n_vertices):
+        if len(candidate) > limit:
+            break
+        if not any(existing <= candidate for existing in found) and predicate(g, candidate):
+            found.append(candidate)
+    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+
+
+def _search_population():
+    named = [("k4", k4()), ("cl3_paper", CL3_PAPER)]
+    named += [(f"cl_{n}", circular_ladder(n)) for n in range(3, 7)]
+    graphs = named + [
+        (f"{name}/contracted_{i}", c) for name, g in named for i, c in enumerate(triangle_contractions(g))
+    ]
+    rng = random.Random("minimal-defining-sets")
+    # Four vertices allow only K4, which is already named above.
+    for n, copies in ((6, 8), (8, 8), (10, 8), (12, 6)):
+        graphs += [(f"random_{n}_{i}", random_planar_cubic(n, rng)) for i in range(copies)]
+    return [pytest.param(g, id=name) for name, g in graphs]
 
 
 class TestCombinationSupport:
@@ -237,6 +270,27 @@ class TestMinimalDefiningSets:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             minimal_defining_sets(CL3_PAPER, mode="fast")
+
+    def test_negative_max_size_rejected(self):
+        with pytest.raises(ValueError):
+            minimal_defining_sets(CL3_PAPER, mode="heawood", max_size=-1)
+
+    @pytest.mark.parametrize("g", _search_population())
+    def test_matches_subset_search(self, g):
+        # k = 2n - rank is the size of every minimal linear-defining set.
+        k = g.n_vertices - sle_rank(g)
+        relabelled, perm = fresh_relabelling(g, random.Random(g.n_vertices))
+        for mode in ("linear", "heawood"):
+            for max_size in (None, 0, 1, k - 1, k):
+                expected = subset_search(g, mode, max_size)
+                assert minimal_defining_sets(g, mode, max_size) == expected, (mode, max_size)
+                moved = {frozenset(perm[v] for v in s) for s in expected}
+                assert set(minimal_defining_sets(relabelled, mode, max_size)) == moved
+
+    def test_cl8_linear_mode_finds_3754_sets_of_size_8(self):
+        found = minimal_defining_sets(circular_ladder(8), mode="linear")
+        assert len(found) == 3754
+        assert {len(s) for s in found} == {8}
 
 
 class TestTheoremConsequences:

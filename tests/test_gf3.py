@@ -137,6 +137,29 @@ class TestColumnSubmatrixRank:
         assert gf3.column_submatrix_rank(mat, [0, 0, 1]) == 2
 
 
+class TestNonsingular:
+    @pytest.mark.parametrize("size", range(7))
+    def test_matches_column_rank(self, size):
+        rng = np.random.default_rng(size)
+        blocks = rng.integers(0, 3, size=(300, size, size), dtype=np.uint8)
+        # Sparse blocks, and blocks with a row repeated as a multiple of
+        # another, make many of them singular.
+        blocks[100:200][rng.random((100, size, size)) < 0.6] = 0
+        if size >= 2:
+            blocks[200:, 1] = (2 * blocks[200:, 0]) % 3
+        expected = [gf3.column_submatrix_rank(b, range(size)) == size for b in blocks]
+        assert gf3.nonsingular(blocks).tolist() == expected
+        if size:
+            assert 0 < sum(expected) < len(expected)
+
+    def test_empty_stack(self):
+        assert gf3.nonsingular(np.zeros((0, 3, 3), dtype=np.uint8)).shape == (0,)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            gf3.nonsingular(np.zeros((2, 2, 3), dtype=np.uint8))
+
+
 class TestSolveParametric:
     def test_identity_has_no_free_variables(self):
         sol = gf3.solve_parametric(np.eye(3, dtype=int))

@@ -8,6 +8,7 @@ import pytest
 from heawood import (
     ContractionError,
     EmbeddedCubicGraph,
+    EnumerationLimitError,
     HeawoodVector,
     ImproperColoringError,
     InvalidGraphError,
@@ -36,7 +37,13 @@ from heawood import (
 from heawood import gf3, spins
 from perfbench.graphgen import fresh_relabelling, random_planar_cubic
 
-from conftest import CL3_PAPER, CL3_PAPER_TO_GENERATOR, DUMBBELL, kernel_scan
+from conftest import (
+    CL3_PAPER,
+    CL3_PAPER_TO_GENERATOR,
+    DUMBBELL,
+    kernel_scan,
+    triangle_contractions,
+)
 
 GOLDEN_CL3_VECTORS = ((1, 1, 1, 2, 2, 2), (2, 2, 2, 1, 1, 1))
 
@@ -181,18 +188,9 @@ class TestEnumerate:
         assert count_tait_colorings_heawood(k4()) == 6
 
 
-def _contractions(g):
-    for face in trace_faces(g):
-        if len(face) == 3:
-            try:
-                yield contract_triangle(g, face.face_id)
-            except ContractionError:
-                pass
-
-
 def _named_graphs():
     graphs = [circular_ladder(n) for n in range(3, 13)] + [k4(), CL3_PAPER]
-    return graphs + [c for g in graphs for c in _contractions(g)]
+    return graphs + [c for g in graphs for c in triangle_contractions(g)]
 
 
 class TestCountSweep:
@@ -227,6 +225,17 @@ class TestCountSweep:
 
         monkeypatch.setattr(spins, "enumerate_heawood_vectors", refuse)
         assert count_tait_colorings_heawood(circular_ladder(9)) == cln_formula(9)
+
+    def test_wide_sweep_refused_before_counting(self):
+        rng = random.Random(3)
+        narrow, wide = random_planar_cubic(300, rng), random_planar_cubic(300, rng)
+        refusal = r"limited to score 129140163 \(3\*\*17\).* \(about 3\*\*19\.4\)"
+        with pytest.raises(EnumerationLimitError, match=refusal):
+            count_tait_colorings_heawood(wide)
+        # Positive, and a multiple of 6: Heawood vectors pair up by negation.
+        count = count_tait_colorings_heawood(narrow)
+        assert count > 0 and count % 6 == 0
+        assert count_tait_colorings_heawood(circular_ladder(1000)) == cln_formula(1000)
 
     def test_invalid_graph_rejected(self):
         with pytest.raises(InvalidGraphError):
