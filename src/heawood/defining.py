@@ -83,15 +83,17 @@ def zebra_witness(g: EmbeddedCubicGraph, vertices: Iterable[int]) -> ZebraWitnes
     """Some witness supported inside ``vertices``, or None when none exists.
 
     Any valid witness is returned, not a minimal one: the coefficients are
-    the first basis vector of the left kernel of the outside columns.
+    the first basis vector of the left kernel of the outside columns, whose
+    first free coefficient is 1 and the other free ones 0.
     """
     system = build_main_sle(g)
     members = _checked_members(g, vertices)
     outside = sorted(set(range(system.n_vertices)) - members)
-    basis = gf3.nullspace_basis(system.matrix[:, outside].T)
-    if not basis:
+    kernel = gf3.solve_parametric(system.matrix[:, outside].T)
+    if not kernel.free_cols:
         return None
-    coefficients = tuple(int(x) for x in basis[0])
+    first = [1] + [0] * (len(kernel.free_cols) - 1)
+    coefficients = tuple(int(x) for x in kernel.substitute(first))
     support = combination_support(system, coefficients)
     if not support <= members:
         raise AssertionError("witness support leaked outside the queried set")
@@ -119,7 +121,7 @@ def is_heawood_defining(g: EmbeddedCubicGraph, vertices: Iterable[int]) -> bool:
 def free_variable_defining_set(g: EmbeddedCubicGraph) -> FreeVariableSet:
     """The free columns of the main system; always linear-defining."""
     system = build_main_sle(g)
-    pivot = set(gf3.rref(system.matrix).pivot_cols)
+    pivot = set(system.reduced.pivot_cols)
     members = frozenset(v for v in range(system.n_vertices) if v not in pivot)
     return FreeVariableSet(members, is_bipartite(g) is not None)
 
@@ -151,7 +153,7 @@ def minimal_defining_sets(
     if limit < 0:
         raise ValueError("max_size must be non-negative")
     if mode == "linear":
-        reduced = gf3.rref(build_main_sle(g).matrix)
+        reduced = build_main_sle(g).reduced
         rank = reduced.rank
         if limit < n_vertices - rank:
             return ()

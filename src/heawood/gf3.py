@@ -4,6 +4,12 @@ Matrices are dense numpy arrays with entries in {0, 1, 2}, where 2 doubles
 as -1.  Everything is integer arithmetic mod 3 -- no floating point -- and
 elimination sweeps rows top to bottom, columns left to right, so ranks,
 pivot columns and nullspace bases are reproducible bit for bit.
+
+``rref`` eliminates on bit-sliced rows (Boothby and Bradshaw): a row is two
+Python ints, bit j of ``ones`` set where entry j is 1 and bit j of ``twos``
+where it is 2.  Scaling by 2 swaps the planes, adding a row is a dozen
+whole-row bitwise operations, and only rows nonzero in the pivot column are
+touched; the sweep order, and so every output bit, is plain Gauss-Jordan's.
 """
 
 from __future__ import annotations
@@ -14,11 +20,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "add",
-    "sub",
-    "mul",
-    "neg",
-    "inv",
     "as_gf3",
     "RrefResult",
     "rref",
@@ -28,39 +29,27 @@ __all__ = [
     "ParametricSolution",
     "solve_parametric",
     "row_combination",
-    "matvec",
 ]
 
 
-def add(a: int, b: int) -> int:
-    return (a + b) % 3
-
-
-def sub(a: int, b: int) -> int:
-    return (a - b) % 3
-
-
-def mul(a: int, b: int) -> int:
-    return (a * b) % 3
-
-
-def neg(a: int) -> int:
-    return (-a) % 3
-
-
-def inv(a: int) -> int:
-    """Multiplicative inverse; over GF(3) every nonzero element is its own."""
-    if a % 3 == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(3)")
-    return a % 3
-
-
 def as_gf3(matrix) -> np.ndarray:
-    """Coerce to a 2-d uint8 array reduced mod 3."""
-    arr = np.asarray(matrix, dtype=np.int64) % 3
+    """Coerce to a 2-d uint8 array reduced mod 3, refusing non-integral entries.
+
+    Nested sequences are read as Python objects, so integers of any size
+    reduce exactly instead of passing through a lossy float.
+    """
+    arr = matrix if isinstance(matrix, np.ndarray) else np.array(matrix, dtype=object)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={arr.ndim}")
-    return arr.astype(np.uint8)
+    try:
+        with np.errstate(invalid="ignore"):
+            reduced = arr % 3
+            out = reduced.astype(np.uint8)
+        if (reduced == out).all():
+            return out
+    except (TypeError, ValueError):
+        pass
+    raise ValueError("matrix entries must be integers")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,50 +61,68 @@ class RrefResult:
     def rank(self) -> int:
         return len(self.pivot_cols)
 
+    def parametric(self) -> ParametricSolution:
+        """The kernel of the reduced matrix, parametrized by its free columns."""
+        free_cols = tuple(sorted(set(range(self.rref.shape[1])) - set(self.pivot_cols)))
+        coeffs = (3 - self.rref[: self.rank][:, list(free_cols)].astype(np.int64)) % 3
+        return ParametricSolution(self.pivot_cols, free_cols, coeffs.astype(np.uint8))
+
+
+def _planes(bits: np.ndarray) -> list[int]:
+    """Each row of a 0/1 array as an int whose bit j is the row's entry j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unplanes(planes: list[int], n_cols: int) -> np.ndarray:
+    """The 0/1 array whose row i has the bits of ``planes[i]``, inverse of ``_planes``."""
+    width = (n_cols + 7) // 8
+    data = b"".join(p.to_bytes(width, "little") for p in planes)
+    packed = np.frombuffer(data, np.uint8).reshape(len(planes), width)
+    return np.unpackbits(packed, axis=1, count=n_cols, bitorder="little")
+
 
 def rref(matrix) -> RrefResult:
     """Reduced row echelon form via Gauss-Jordan elimination mod 3."""
-    mat = as_gf3(matrix).copy()
+    mat = as_gf3(matrix)
     n_rows, n_cols = mat.shape
+    ones, twos = _planes(mat == 1), _planes(mat == 2)
+    nonzero = [o | t for o, t in zip(ones, twos)]
     pivots: list[int] = []
     row = 0
     for col in range(n_cols):
         if row == n_rows:
             break
-        nonzero = np.nonzero(mat[row:, col])[0]
-        if nonzero.size == 0:
+        bit = 1 << col
+        hits = [r for r, z in enumerate(nonzero) if z & bit]
+        pivot = next((r for r in hits if r >= row), None)
+        if pivot is None:
             continue
-        pivot = row + int(nonzero[0])
-        if pivot != row:
-            mat[[row, pivot]] = mat[[pivot, row]]
-        if mat[row, col] == 2:
-            mat[row] = (mat[row] * 2) % 3
-        # Add (3 - factor) * pivot row everywhere else: same as subtracting,
-        # but stays non-negative so uint8 never wraps.
-        factors = mat[:, col].copy()
-        factors[row] = 0
-        mat = (mat + np.outer((3 - factors) % 3, mat[row])) % 3
+        for planes in (ones, twos, nonzero):
+            planes[row], planes[pivot] = planes[pivot], planes[row]
+        if twos[row] & bit:
+            ones[row], twos[row] = twos[row], ones[row]
+        a, b, zero_p = ones[row], twos[row], ~nonzero[row]
+        hits.remove(pivot)
+        for r in hits:
+            o, t, zero_x = ones[r], twos[r], ~nonzero[r]
+            # Subtracting the pivot row adds it twice where the entry is 1
+            # (its planes swapped) and once where the entry is 2.  Entrywise,
+            # a sum is 1 from 1+0, 0+1 or 2+2 and 2 from 2+0, 0+2 or 1+1.
+            y1, y2 = (b, a) if o & bit else (a, b)
+            ones[r] = (o & zero_p) | (y1 & zero_x) | (t & y2)
+            twos[r] = (t & zero_p) | (y2 & zero_x) | (o & y1)
+            nonzero[r] = ones[r] | twos[r]
         pivots.append(col)
         row += 1
-    return RrefResult(rref=mat.astype(np.uint8), pivot_cols=tuple(pivots))
+    reduced = _unplanes(ones, n_cols) + 2 * _unplanes(twos, n_cols)
+    return RrefResult(rref=reduced, pivot_cols=tuple(pivots))
 
 
 def nullspace_basis(matrix) -> list[np.ndarray]:
     """Kernel basis, one vector per free column, in free-column order."""
-    result = rref(matrix)
-    reduced = result.rref
-    n_cols = reduced.shape[1]
-    pivot_set = set(result.pivot_cols)
-    basis: list[np.ndarray] = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        vec = np.zeros(n_cols, dtype=np.uint8)
-        vec[free] = 1
-        for r, pc in enumerate(result.pivot_cols):
-            vec[pc] = (3 - reduced[r, free]) % 3
-        basis.append(vec)
-    return basis
+    solution = solve_parametric(matrix)
+    return list(solution.substitute_batch(np.eye(len(solution.free_cols), dtype=np.uint8)))
 
 
 def column_submatrix_rank(matrix, cols: Iterable[int]) -> int:
@@ -186,17 +193,7 @@ class ParametricSolution:
 
 def solve_parametric(matrix) -> ParametricSolution:
     """Parametrize the kernel of ``matrix`` by its free columns."""
-    result = rref(matrix)
-    reduced = result.rref
-    n_cols = reduced.shape[1]
-    pivot_set = set(result.pivot_cols)
-    free_cols = tuple(c for c in range(n_cols) if c not in pivot_set)
-    coeffs = (3 - reduced[: result.rank][:, list(free_cols)].astype(np.int64)) % 3
-    return ParametricSolution(
-        pivot_cols=result.pivot_cols,
-        free_cols=free_cols,
-        pivot_from_free=coeffs.astype(np.uint8),
-    )
+    return rref(matrix).parametric()
 
 
 def row_combination(matrix, coefficients) -> np.ndarray:
@@ -206,12 +203,3 @@ def row_combination(matrix, coefficients) -> np.ndarray:
     if coeffs.shape != (mat.shape[0],):
         raise ValueError(f"expected {mat.shape[0]} coefficients, got shape {coeffs.shape}")
     return ((coeffs @ mat.astype(np.int64)) % 3).astype(np.uint8)
-
-
-def matvec(matrix, vector) -> np.ndarray:
-    """The product ``matrix . vector`` reduced mod 3."""
-    mat = as_gf3(matrix)
-    vec = np.asarray(vector, dtype=np.int64) % 3
-    if vec.shape != (mat.shape[1],):
-        raise ValueError(f"expected a vector of length {mat.shape[1]}, got shape {vec.shape}")
-    return ((mat.astype(np.int64) @ vec) % 3).astype(np.uint8)

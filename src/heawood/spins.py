@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -90,7 +90,9 @@ class HeawoodSystem:
     Row i of ``matrix`` is the 0/1 membership vector of the face with id
     ``row_face_ids[i]``; column j belongs to vertex j (the vertex index map
     is the identity).  ``faces`` keeps all n+2 traced faces, including the
-    dropped one.
+    dropped one.  ``reduced`` is the matrix's reduced row echelon form,
+    eliminated on first use and then shared, read-only, by the rank, the
+    free columns, the kernel and the column bases.
     """
 
     matrix: np.ndarray
@@ -105,6 +107,12 @@ class HeawoodSystem:
     @property
     def dropped_face(self) -> Face:
         return self.faces[self.dropped_face_id]
+
+    @cached_property
+    def reduced(self) -> gf3.RrefResult:
+        result = gf3.rref(self.matrix)
+        result.rref.setflags(write=False)
+        return result
 
     def row_of_face(self, face_id: int) -> int | None:
         """Matrix row holding this face's equation, or None for the dropped face."""
@@ -193,8 +201,7 @@ def _build_main_sle(g: EmbeddedCubicGraph, drop_face_id: int | None) -> HeawoodS
 
 def sle_rank(g: EmbeddedCubicGraph, drop_face_id: int | None = None) -> int:
     """Rank of the main system: n+1 when non-bipartite, n when bipartite."""
-    system = build_main_sle(g, drop_face_id)
-    rank = gf3.rref(system.matrix).rank
+    rank = build_main_sle(g, drop_face_id).reduced.rank
     n = g.n_vertices // 2
     expected = n if is_bipartite(g) is not None else n + 1
     if rank != expected:
@@ -220,8 +227,7 @@ def enumerate_heawood_vectors(g: EmbeddedCubicGraph) -> tuple[HeawoodVector, ...
     are tried; assignments whose back-substitution produces any zero spin
     are silently discarded.  Exponential in the number of free variables.
     """
-    system = build_main_sle(g)
-    solution = gf3.solve_parametric(system.matrix)
+    solution = build_main_sle(g).reduced.parametric()
     patterns = _sign_patterns(len(solution.free_cols))
     full = solution.substitute_batch(patterns)
     keep = (full != 0).all(axis=1)
@@ -368,10 +374,15 @@ def _count_heawood_vectors(
     return sum(states.values())
 
 
-def _incidence_tables(g: EmbeddedCubicGraph):
+@lru_cache(maxsize=_CACHED_GRAPHS)
+def _conversion_tables(g: EmbeddedCubicGraph):
+    """Validate ``g`` once, then keep its edges, their ids and each vertex's edge ids ccw."""
+    _require_valid(g)
     edge_list = edges(g)
     edge_index = {e: i for i, e in enumerate(edge_list)}
-    incident = tuple(incident_edges_ccw(g, v) for v in range(g.n_vertices))
+    incident = tuple(
+        tuple(edge_index[e] for e in incident_edges_ccw(g, v)) for v in range(g.n_vertices)
+    )
     return edge_list, edge_index, incident
 
 
@@ -387,12 +398,11 @@ def heawood_to_tait(
     without conflict is exactly what certifies ``vector`` against every
     face equation, so a conflict raises ``NotAHeawoodVectorError``.
     """
-    _require_valid(g)
+    edge_list, edge_index, incident = _conversion_tables(g)
     if len(vector.spins) != g.n_vertices:
         raise ValueError(f"vector has {len(vector.spins)} spins for {g.n_vertices} vertices")
     if seed_color not in (0, 1, 2):
         raise ValueError(f"seed color must be 0, 1 or 2, got {seed_color}")
-    edge_list, edge_index, incident = _incidence_tables(g)
     u, v = seed_edge
     seed = (u, v) if u < v else (v, u)
     if seed not in edge_index:
@@ -400,24 +410,23 @@ def heawood_to_tait(
 
     colors: list[int | None] = [None] * len(edge_list)
     colors[edge_index[seed]] = seed_color
-    queue: deque[Edge] = deque([seed])
+    queue: deque[int] = deque([edge_index[seed]])
     while queue:
         e = queue.popleft()
-        c = colors[edge_index[e]]
-        for vertex in e:
+        c = colors[e]
+        for vertex in edge_list[e]:
             triple = incident[vertex]
             k = triple.index(e)
             step = vector.spins[vertex]
             for j in (1, 2):
                 other = triple[(k + j) % 3]
                 expected = (c + j * step) % 3
-                idx = edge_index[other]
-                if colors[idx] is None:
-                    colors[idx] = expected
+                if colors[other] is None:
+                    colors[other] = expected
                     queue.append(other)
-                elif colors[idx] != expected:
+                elif colors[other] != expected:
                     raise NotAHeawoodVectorError(
-                        f"color propagation conflicts at edge {other}: "
+                        f"color propagation conflicts at edge {edge_list[other]}: "
                         "the given spins are not a Heawood vector"
                     )
     if any(c is None for c in colors):
@@ -427,15 +436,14 @@ def heawood_to_tait(
 
 def tait_to_heawood(g: EmbeddedCubicGraph, coloring: TaitColoring) -> HeawoodVector:
     """Read each vertex's constant counterclockwise color step as its spin."""
-    _require_valid(g)
-    edge_list, edge_index, incident = _incidence_tables(g)
+    edge_list, _, incident = _conversion_tables(g)
     if len(coloring.colors) != len(edge_list):
         raise ValueError(
             f"coloring has {len(coloring.colors)} entries for {len(edge_list)} edges"
         )
     spins: list[int] = []
     for vertex in range(g.n_vertices):
-        c0, c1, c2 = (coloring.colors[edge_index[e]] for e in incident[vertex])
+        c0, c1, c2 = (coloring.colors[e] for e in incident[vertex])
         if len({c0, c1, c2}) != 3:
             raise ImproperColoringError(f"edges at vertex {vertex} repeat a color")
         step = (c1 - c0) % 3

@@ -1,6 +1,7 @@
 """Field arithmetic and exact elimination over GF(3)."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from heawood import build_main_sle, circular_ladder, k4
 from heawood import gf3
+from perfbench.graphgen import random_planar_cubic
 
 from conftest import brute_force_rank, kernel_scan
 
@@ -21,27 +24,109 @@ def small_matrices(max_dim: int = 5):
     )
 
 
+# Scalar field operations, as the package's arrays compute them.
+
+
+def add(a: int, b: int) -> int:
+    return (a + b) % 3
+
+
+def sub(a: int, b: int) -> int:
+    return (a - b) % 3
+
+
+def mul(a: int, b: int) -> int:
+    return (a * b) % 3
+
+
+def neg(a: int) -> int:
+    return (-a) % 3
+
+
+def inv(a: int) -> int:
+    """Multiplicative inverse; over GF(3) every nonzero element is its own."""
+    if a % 3 == 0:
+        raise ZeroDivisionError("0 has no inverse in GF(3)")
+    return a % 3
+
+
+def matvec(matrix, vector) -> np.ndarray:
+    """The product ``matrix . vector`` reduced mod 3."""
+    return (gf3.as_gf3(matrix).astype(np.int64) @ np.asarray(vector, dtype=np.int64)) % 3
+
+
+def reference_rref(matrix) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Dense Gauss-Jordan mod 3, one whole-matrix update per pivot.
+
+    The same sweep order as ``gf3.rref`` (rows top to bottom, columns left
+    to right) in plain numpy, kept as an independent reference for it.
+    """
+    mat = gf3.as_gf3(matrix).copy()
+    n_rows, n_cols = mat.shape
+    pivots: list[int] = []
+    row = 0
+    for col in range(n_cols):
+        if row == n_rows:
+            break
+        nonzero = np.nonzero(mat[row:, col])[0]
+        if nonzero.size == 0:
+            continue
+        pivot = row + int(nonzero[0])
+        if pivot != row:
+            mat[[row, pivot]] = mat[[pivot, row]]
+        if mat[row, col] == 2:
+            mat[row] = (mat[row] * 2) % 3
+        factors = mat[:, col].copy()
+        factors[row] = 0
+        mat = (mat + np.outer((3 - factors) % 3, mat[row])) % 3
+        pivots.append(col)
+        row += 1
+    return mat.astype(np.uint8), tuple(pivots)
+
+
+def reference_nullspace(matrix) -> list[np.ndarray]:
+    """Kernel basis read off ``reference_rref``, one vector per free column."""
+    reduced, pivot_cols = reference_rref(matrix)
+    basis = []
+    for free in sorted(set(range(reduced.shape[1])) - set(pivot_cols)):
+        vec = np.zeros(reduced.shape[1], dtype=np.uint8)
+        vec[free] = 1
+        for r, pc in enumerate(pivot_cols):
+            vec[pc] = (3 - reduced[r, free]) % 3
+        basis.append(vec)
+    return basis
+
+
+def assert_same_rref(matrix) -> None:
+    expected, pivots = reference_rref(matrix)
+    result = gf3.rref(matrix)
+    assert result.rref.dtype == np.uint8
+    assert result.rref.shape == expected.shape
+    assert result.rref.tobytes() == expected.tobytes()
+    assert result.pivot_cols == pivots
+
+
 class TestScalars:
     def test_field_axioms_exhaustive(self):
         elems = (0, 1, 2)
         for a, b, c in itertools.product(elems, repeat=3):
-            assert gf3.add(a, b) == gf3.add(b, a)
-            assert gf3.mul(a, b) == gf3.mul(b, a)
-            assert gf3.add(gf3.add(a, b), c) == gf3.add(a, gf3.add(b, c))
-            assert gf3.mul(gf3.mul(a, b), c) == gf3.mul(a, gf3.mul(b, c))
-            assert gf3.mul(a, gf3.add(b, c)) == gf3.add(gf3.mul(a, b), gf3.mul(a, c))
+            assert add(a, b) == add(b, a)
+            assert mul(a, b) == mul(b, a)
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
         for a in elems:
-            assert gf3.add(a, 0) == a
-            assert gf3.mul(a, 1) == a
-            assert gf3.add(a, gf3.neg(a)) == 0
+            assert add(a, 0) == a
+            assert mul(a, 1) == a
+            assert add(a, neg(a)) == 0
             if a != 0:
-                assert gf3.mul(a, gf3.inv(a)) == 1
-        assert gf3.add(1, 2) == 0  # 2 acts as -1
-        assert gf3.sub(0, 1) == 2
+                assert mul(a, inv(a)) == 1
+        assert add(1, 2) == 0  # 2 acts as -1
+        assert sub(0, 1) == 2
 
     def test_inverse_of_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            gf3.inv(0)
+            inv(0)
 
     def test_nonzero_elements(self):
         assert {x for x in range(3) if x != 0} == {1, 2}
@@ -92,6 +177,59 @@ class TestRref:
         assert gf3.rref(mat).rank == brute_force_rank(mat)
 
 
+# Embeddings of 8..400 vertices from one seeded generator stream.
+GENERATED_SIZES = (8, 10, 12, 16, 20, 26, 32, 40, 50, 64, 80, 100, 120, 150, 180, 220, 260, 300, 350, 400)
+
+
+class TestRrefAgainstReference:
+    """The bit-sliced kernel against the dense elimination, byte for byte."""
+
+    @pytest.mark.parametrize("n_rows", range(11))
+    def test_every_small_shape(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        for n_cols in range(11):
+            shape = (n_rows, n_cols)
+            cases = [rng.integers(0, 3, size=shape) for _ in range(6)]
+            sparse = rng.integers(0, 3, size=shape)
+            sparse[rng.random(shape) < 0.7] = 0
+            repeated = rng.integers(0, 3, size=shape)
+            if n_rows >= 2:
+                repeated[-1] = (2 * repeated[0]) % 3
+                repeated[n_rows // 2] = repeated[0]
+            cases += [sparse, repeated, np.zeros(shape, dtype=int), np.full(shape, 2)]
+            for mat in cases:
+                assert_same_rref(mat)
+
+    def test_list_and_large_int_inputs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            mat = rng.integers(0, 3, size=(rng.integers(1, 8), rng.integers(1, 8)))
+            assert_same_rref(mat.tolist())
+            shifts = rng.integers(-5, 6, size=mat.shape).tolist()
+            shifted = [[x + 3**70 * k for x, k in zip(row, ks)] for row, ks in zip(mat.tolist(), shifts)]
+            result = gf3.rref(shifted)
+            expected, pivots = reference_rref(mat)
+            assert result.rref.tobytes() == expected.tobytes()
+            assert result.pivot_cols == pivots
+
+    @pytest.mark.parametrize(
+        "g", [k4()] + [circular_ladder(n) for n in (*range(3, 13), 200)],
+        ids=["k4"] + [f"cl_{n}" for n in (*range(3, 13), 200)],
+    )
+    def test_main_systems_of_families(self, g):
+        assert_same_rref(build_main_sle(g).matrix)
+
+    def test_generated_main_systems_and_outside_blocks(self):
+        rng = random.Random(8)
+        for v in GENERATED_SIZES:
+            matrix = build_main_sle(random_planar_cubic(v, rng)).matrix
+            assert_same_rref(matrix)
+            for size in (v // 2 - 2, v // 2 + 1):
+                outside = sorted(set(range(v)) - set(rng.sample(range(v), size)))
+                # The left kernel of the outside columns, as zebra_witness asks for it.
+                assert_same_rref(matrix[:, outside].T)
+
+
 class TestNullspace:
     def test_identity_trivial_kernel(self):
         assert gf3.nullspace_basis(np.eye(2, dtype=int)) == []
@@ -101,12 +239,21 @@ class TestNullspace:
         assert len(basis) == 3
         assert [list(v) for v in basis] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
+    @given(small_matrices(max_dim=7))
+    def test_same_vectors_as_reference(self, mat):
+        basis = gf3.nullspace_basis(mat)
+        expected = reference_nullspace(mat)
+        assert len(basis) == len(expected)
+        for vec, want in zip(basis, expected):
+            assert vec.dtype == np.uint8
+            assert vec.tobytes() == want.tobytes()
+
     @given(small_matrices())
     def test_dimension_and_membership(self, mat):
         basis = gf3.nullspace_basis(mat)
         assert len(basis) == mat.shape[1] - gf3.rref(mat).rank
         for vec in basis:
-            assert (gf3.matvec(mat, vec) == 0).all()
+            assert (matvec(mat, vec) == 0).all()
 
     @given(small_matrices(max_dim=4))
     def test_basis_spans_scanned_kernel(self, mat):
@@ -183,7 +330,7 @@ class TestSolveParametric:
             st.lists(st.integers(0, 2), min_size=len(sol.free_cols), max_size=len(sol.free_cols))
         )
         vec = sol.substitute(values)
-        assert (gf3.matvec(mat, vec) == 0).all()
+        assert (matvec(mat, vec) == 0).all()
 
     def test_batch_agrees_with_single(self):
         mat = [[1, 1, 0, 2], [0, 1, 1, 1]]
@@ -207,3 +354,26 @@ class TestRowOps:
         arr = gf3.as_gf3([[-1, 4], [3, -2]])
         assert arr.tolist() == [[2, 1], [0, 1]]
         assert arr.dtype == np.uint8
+
+    def test_as_gf3_accepts_integral_values(self):
+        assert gf3.as_gf3([[True, False], [-7, 3**80 + 2]]).tolist() == [[1, 0], [2, 2]]
+        assert gf3.as_gf3(np.array([[True, False]])).tolist() == [[1, 0]]
+        assert gf3.as_gf3(np.array([[-1, -5]], dtype=np.int8)).tolist() == [[2, 1]]
+        assert gf3.as_gf3([[2.0, -1.0]]).tolist() == [[2, 2]]
+        assert gf3.as_gf3(np.array([[4.0, -3.0]])).tolist() == [[1, 0]]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[[1.5, 2]], np.array([[0.5]]), [[3**80, 0.25]], np.array([[np.nan]]),
+         [[float("inf")]], [["1"]], np.array([["1"]]), [[1j]]],
+    )
+    def test_as_gf3_rejects_non_integers(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            gf3.as_gf3(bad)
+        with pytest.raises(ValueError):
+            gf3.rref(bad)
+
+    @pytest.mark.parametrize("bad", [[1, 2], [[[1]]], [[1, 2], [3]]])
+    def test_as_gf3_rejects_other_shapes(self, bad):
+        with pytest.raises(ValueError):
+            gf3.as_gf3(bad)

@@ -28,7 +28,9 @@ from heawood import (
     heawood_to_tait,
     is_bipartite,
     is_proper_coloring,
+    free_variable_defining_set,
     k4,
+    minimal_defining_sets,
     sle_rank,
     tait_to_heawood,
     trace_faces,
@@ -114,6 +116,34 @@ class TestRank:
         baseline = sle_rank(g)
         for face in trace_faces(g):
             assert sle_rank(g, drop_face_id=face.face_id) == baseline
+
+
+class TestSharedReduction:
+    def test_each_system_is_reduced_once(self, monkeypatch):
+        # A relabelling no other test builds, so no cache holds its system yet.
+        g, _ = fresh_relabelling(circular_ladder(7), random.Random("reduce once"))
+        system = build_main_sle(g)
+        reduced = []
+        rref = gf3.rref
+
+        def counting_rref(matrix):
+            reduced.append(matrix is system.matrix)
+            return rref(matrix)
+
+        monkeypatch.setattr(gf3, "rref", counting_rref)
+        assert sle_rank(g) == 8
+        assert len(free_variable_defining_set(g).members) == 6
+        assert 3 * len(enumerate_heawood_vectors(g)) == cln_formula(7)
+        assert len(minimal_defining_sets(g, mode="linear", max_size=5)) == 0
+        assert reduced == [True]
+        assert build_main_sle(g).reduced is system.reduced
+
+    def test_reduction_is_read_only(self):
+        reduced = build_main_sle(circular_ladder(5)).reduced
+        assert not reduced.rref.flags.writeable
+        with pytest.raises(ValueError):
+            reduced.rref[0, 0] = 2
+        assert reduced.rref.tobytes() == gf3.rref(build_main_sle(circular_ladder(5)).matrix).rref.tobytes()
 
 
 class TestEnumerate:
@@ -323,6 +353,32 @@ class TestColoringCorrespondence:
         improper = TaitColoring((0,) * 9)
         with pytest.raises(ImproperColoringError):
             tait_to_heawood(CL3_PAPER, improper)
+
+
+    def test_graph_validated_once_for_many_conversions(self, monkeypatch):
+        g, _ = fresh_relabelling(circular_ladder(6), random.Random("validate once"))
+        checks = []
+        real_validate = spins.validate
+
+        def counting_validate(graph):
+            checks.append(graph)
+            return real_validate(graph)
+
+        monkeypatch.setattr(spins, "validate", counting_validate)
+        seed_edge = edges(g)[0]
+        for vec in enumerate_heawood_vectors(g):
+            assert tait_to_heawood(g, heawood_to_tait(g, vec, seed_edge, 0)) == vec
+        # One check for the main system, one for the conversion tables.
+        assert checks == [g, g]
+
+    def test_invalid_graph_rejected_on_every_call(self):
+        vec = HeawoodVector((1,) * DUMBBELL.n_vertices)
+        coloring = TaitColoring((0,) * (3 * DUMBBELL.n_vertices // 2))
+        for _ in range(3):
+            with pytest.raises(InvalidGraphError):
+                heawood_to_tait(DUMBBELL, vec, (0, 2), 0)
+            with pytest.raises(InvalidGraphError):
+                tait_to_heawood(DUMBBELL, coloring)
 
 
 class TestBipartiteVector:
