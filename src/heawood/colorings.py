@@ -6,6 +6,9 @@ from dataclasses import dataclass
 
 __all__ = ["TaitColoring"]
 
+# Maps values equal to a color (2.0, numpy ints, True) to the int; 1.5 or "1" miss.
+_COLORS = {0: 0, 1: 1, 2: 2}
+
 
 @dataclass(frozen=True)
 class TaitColoring:
@@ -19,9 +22,10 @@ class TaitColoring:
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        colors = tuple(int(c) for c in self.colors)
-        if any(c not in (0, 1, 2) for c in colors):
-            raise ValueError(f"edge colors must be 0, 1 or 2, got {colors}")
+        try:
+            colors = tuple(map(_COLORS.__getitem__, self.colors))
+        except (KeyError, TypeError):
+            raise ValueError(f"edge colors must be 0, 1 or 2, got {self.colors}") from None
         object.__setattr__(self, "colors", colors)
 
     def shifted(self, amount: int) -> "TaitColoring":

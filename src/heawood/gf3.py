@@ -3,7 +3,7 @@
 Matrices are dense numpy arrays with entries in {0, 1, 2}, where 2 doubles
 as -1.  Everything is integer arithmetic mod 3 -- no floating point -- and
 elimination sweeps rows top to bottom, columns left to right, so ranks,
-pivot columns and nullspace bases are reproducible bit for bit.
+pivot columns and kernel parametrizations are reproducible bit for bit.
 
 ``rref`` eliminates on bit-sliced rows (Boothby and Bradshaw): a row is two
 Python ints, bit j of ``ones`` set where entry j is 1 and bit j of ``twos``
@@ -23,7 +23,6 @@ __all__ = [
     "as_gf3",
     "RrefResult",
     "rref",
-    "nullspace_basis",
     "column_submatrix_rank",
     "nonsingular",
     "ParametricSolution",
@@ -32,15 +31,17 @@ __all__ = [
 ]
 
 
-def as_gf3(matrix) -> np.ndarray:
-    """Coerce to a 2-d uint8 array reduced mod 3, refusing non-integral entries.
+def as_gf3(values, ndim: int = 2) -> np.ndarray:
+    """A new ``ndim``-d uint8 array of ``values`` reduced mod 3, refusing non-integral entries.
 
-    Nested sequences are read as Python objects, so integers of any size
-    reduce exactly instead of passing through a lossy float.
+    Integer arrays reduce in one pass.  Nested sequences are read as Python
+    objects, so integers of any size reduce exactly, not through a float.
     """
-    arr = matrix if isinstance(matrix, np.ndarray) else np.array(matrix, dtype=object)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={arr.ndim}")
+    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if arr.ndim != ndim:
+        raise ValueError(f"expected {ndim}-d values, got ndim={arr.ndim}")
+    if arr.dtype.kind in "biu":
+        return (arr % 3).astype(np.uint8, copy=False)
     try:
         with np.errstate(invalid="ignore"):
             reduced = arr % 3
@@ -119,12 +120,6 @@ def rref(matrix) -> RrefResult:
     return RrefResult(rref=reduced, pivot_cols=tuple(pivots))
 
 
-def nullspace_basis(matrix) -> list[np.ndarray]:
-    """Kernel basis, one vector per free column, in free-column order."""
-    solution = solve_parametric(matrix)
-    return list(solution.substitute_batch(np.eye(len(solution.free_cols), dtype=np.uint8)))
-
-
 def column_submatrix_rank(matrix, cols: Iterable[int]) -> int:
     """Rank of the submatrix formed by the given columns."""
     mat = as_gf3(matrix)
@@ -139,8 +134,8 @@ def column_submatrix_rank(matrix, cols: Iterable[int]) -> int:
 
 def nonsingular(blocks) -> np.ndarray:
     """Which matrices of a ``(count, r, r)`` stack are invertible, eliminating all at once."""
-    mat = (np.asarray(blocks, dtype=np.int64) % 3).astype(np.uint8)
-    if mat.ndim != 3 or mat.shape[1] != mat.shape[2]:
+    mat = as_gf3(blocks, 3)
+    if mat.shape[1] != mat.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {mat.shape}")
     count, size, _ = mat.shape
     every = np.arange(count)
@@ -178,8 +173,8 @@ class ParametricSolution:
 
     def substitute_batch(self, assignments) -> np.ndarray:
         """Turn each row of free-variable values into a full kernel vector."""
-        arr = np.asarray(assignments, dtype=np.int64) % 3
-        if arr.ndim != 2 or arr.shape[1] != len(self.free_cols):
+        arr = as_gf3(assignments)
+        if arr.shape[1] != len(self.free_cols):
             raise ValueError(
                 f"expected assignments of shape (*, {len(self.free_cols)}), got {arr.shape}"
             )
@@ -187,7 +182,7 @@ class ParametricSolution:
         if self.free_cols:
             full[:, list(self.free_cols)] = arr
         if self.pivot_cols:
-            full[:, list(self.pivot_cols)] = (arr @ self.pivot_from_free.T.astype(np.int64)) % 3
+            full[:, list(self.pivot_cols)] = (arr.astype(np.int64) @ self.pivot_from_free.T) % 3
         return full
 
 
@@ -199,7 +194,7 @@ def solve_parametric(matrix) -> ParametricSolution:
 def row_combination(matrix, coefficients) -> np.ndarray:
     """The row vector ``coefficients . matrix`` reduced mod 3."""
     mat = as_gf3(matrix)
-    coeffs = np.asarray(coefficients, dtype=np.int64) % 3
+    coeffs = as_gf3(coefficients, 1)
     if coeffs.shape != (mat.shape[0],):
         raise ValueError(f"expected {mat.shape[0]} coefficients, got shape {coeffs.shape}")
-    return ((coeffs @ mat.astype(np.int64)) % 3).astype(np.uint8)
+    return ((coeffs.astype(np.int64) @ mat.astype(np.int64)) % 3).astype(np.uint8)

@@ -22,8 +22,8 @@ far, only the partial sums mod 3 of the faces the sweep has opened and not
 yet closed (a transfer-matrix count in the manner of Penrose's).  Its cost
 follows that frontier's width, O(sqrt n) faces on planar graphs by the
 separator theorem, and not the number of colorings.  Listing the vectors
-themselves (``enumerate_heawood_vectors``) stays exponential in the number
-of free variables of the main system.
+(``enumerate_heawood_vectors``) drops a branch of free spins as soon as a
+pivot spin it fixes is 0, so its work follows the surviving branches.
 """
 
 from __future__ import annotations
@@ -74,6 +74,9 @@ __all__ = [
 # only its own graph, so a few suffice and memory stays bounded.
 _CACHED_GRAPHS = 8
 
+# Maps values equal to a spin (2.0, numpy ints, True) to the int; 1.5 or "1" miss.
+_SPINS = {1: 1, 2: 2}
+
 # Start vertices, spread over the labels, from which the counting sweep
 # tries a greedy order: one start alone made the cost depend on labelling.
 _ORDER_STARTS = 4
@@ -114,13 +117,6 @@ class HeawoodSystem:
         result.rref.setflags(write=False)
         return result
 
-    def row_of_face(self, face_id: int) -> int | None:
-        """Matrix row holding this face's equation, or None for the dropped face."""
-        try:
-            return self.row_face_ids.index(face_id)
-        except ValueError:
-            return None
-
 
 @dataclass(frozen=True)
 class HeawoodVector:
@@ -129,18 +125,16 @@ class HeawoodVector:
     spins: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        spins = tuple(int(s) for s in self.spins)
-        if any(s not in (1, 2) for s in spins):
-            raise ValueError(f"spins must be nonzero mod 3 (1 or 2), got {spins}")
+        try:
+            spins = tuple(map(_SPINS.__getitem__, self.spins))
+        except (KeyError, TypeError):
+            raise ValueError(f"spins must be nonzero mod 3 (1 or 2), got {self.spins}") from None
         object.__setattr__(self, "spins", spins)
 
     @property
     def signs(self) -> tuple[int, ...]:
         """The spins written as +1 / -1."""
         return tuple(1 if s == 1 else -1 for s in self.spins)
-
-    def negated(self) -> "HeawoodVector":
-        return HeawoodVector(tuple(3 - s for s in self.spins))
 
 
 def _require_valid(g: EmbeddedCubicGraph) -> None:
@@ -211,28 +205,35 @@ def sle_rank(g: EmbeddedCubicGraph, drop_face_id: int | None = None) -> int:
     return rank
 
 
-def _sign_patterns(k: int) -> np.ndarray:
-    """All 2**k rows over {1, 2}, in lexicographic order."""
-    if k == 0:
-        return np.ones((1, 0), dtype=np.uint8)
-    bits = (np.arange(2**k, dtype=np.int64)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return (bits + 1).astype(np.uint8)
-
-
 @lru_cache(maxsize=_CACHED_GRAPHS)
 def enumerate_heawood_vectors(g: EmbeddedCubicGraph) -> tuple[HeawoodVector, ...]:
     """All Heawood vectors, sorted lexicographically by spins (1 before 2).
 
-    Only the 2**(#free) everywhere-nonzero assignments of the free columns
-    are tried; assignments whose back-substitution produces any zero spin
-    are silently discarded.  Exponential in the number of free variables.
+    Free spins are fixed one at a time, the next from the pending pivot row
+    with the fewest unfixed; a branch dies once a fixed row's pivot spin is 0.
     """
     solution = build_main_sle(g).reduced.parametric()
-    patterns = _sign_patterns(len(solution.free_cols))
-    full = solution.substitute_batch(patterns)
-    keep = (full != 0).all(axis=1)
-    spin_tuples = sorted(tuple(int(x) for x in row) for row in full[keep])
-    return tuple(HeawoodVector(s) for s in spin_tuples)
+    coeffs = solution.pivot_from_free
+    # Bit j set means free spin j is 2 = -1; it moves each pivot spin by its coefficient.
+    ones, twos = gf3._planes(coeffs == 1), gf3._planes(coeffs == 2)
+    support = [o | t for o, t in zip(ones, twos)]
+    base = (coeffs.sum(axis=1, dtype=np.int64) % 3).tolist()
+    live, pending, unfixed = [0], list(range(len(base))), (1 << len(solution.free_cols)) - 1
+    while True:
+        for i in [i for i in pending if not support[i] & unfixed]:
+            pending.remove(i)
+            o, t, b = ones[i], twos[i], base[i]
+            live = [x for x in live if (b + (x & o).bit_count() - (x & t).bit_count()) % 3]
+        if not unfixed:
+            break
+        row = min(pending, key=lambda i: (support[i] & unfixed).bit_count(), default=None)
+        choices = unfixed if row is None else support[row] & unfixed
+        bit = choices & -choices
+        unfixed ^= bit
+        live += [x | bit for x in live]
+    full = solution.substitute_batch(gf3._unplanes(live, len(solution.free_cols)) + 1)
+    full = full[np.lexsort(full.T[::-1])]
+    return tuple(HeawoodVector(tuple(row)) for row in full.tolist())
 
 
 def count_tait_colorings_heawood(g: EmbeddedCubicGraph) -> int:

@@ -8,7 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heawood import ContractionError, EmbeddedCubicGraph, contract_triangle, trace_faces
+from heawood import (
+    ContractionError,
+    EmbeddedCubicGraph,
+    HeawoodVector,
+    build_main_sle,
+    contract_triangle,
+    gf3,
+    trace_faces,
+)
 
 # The repository root, so that tests can draw random planar embeddings
 # from the benchmark's generator (perfbench.graphgen).
@@ -93,3 +101,43 @@ def triangle_contractions(g):
                 yield contract_triangle(g, face.face_id)
             except ContractionError:
                 pass
+
+
+def row_of_face(system, face_id: int) -> int | None:
+    """Matrix row holding this face's equation, or None for the dropped face."""
+    try:
+        return system.row_face_ids.index(face_id)
+    except ValueError:
+        return None
+
+
+def negated(vector: HeawoodVector) -> HeawoodVector:
+    return HeawoodVector(tuple(3 - s for s in vector.spins))
+
+
+def nullspace_basis(matrix) -> list[np.ndarray]:
+    """Kernel basis, one vector per free column, in free-column order."""
+    solution = gf3.solve_parametric(matrix)
+    return list(solution.substitute_batch(np.eye(len(solution.free_cols), dtype=np.uint8)))
+
+
+def _sign_patterns(k: int) -> np.ndarray:
+    """All 2**k rows over {1, 2}, in lexicographic order."""
+    if k == 0:
+        return np.ones((1, 0), dtype=np.uint8)
+    bits = (np.arange(2**k, dtype=np.int64)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return (bits + 1).astype(np.uint8)
+
+
+def reference_enumeration(g) -> tuple[HeawoodVector, ...]:
+    """Heawood vectors by back-substituting all 2**(#free) sign patterns.
+
+    The former library enumeration, kept as the differential reference:
+    every everywhere-nonzero assignment of the free columns is tried, and
+    those whose pivot spins include a 0 are discarded.
+    """
+    solution = build_main_sle(g).reduced.parametric()
+    full = solution.substitute_batch(_sign_patterns(len(solution.free_cols)))
+    keep = (full != 0).all(axis=1)
+    spin_tuples = sorted(tuple(int(x) for x in row) for row in full[keep])
+    return tuple(HeawoodVector(s) for s in spin_tuples)

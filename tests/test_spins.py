@@ -44,6 +44,10 @@ from conftest import (
     CL3_PAPER_TO_GENERATOR,
     DUMBBELL,
     kernel_scan,
+    negated,
+    nullspace_basis,
+    reference_enumeration,
+    row_of_face,
     triangle_contractions,
 )
 
@@ -72,7 +76,7 @@ class TestBuildMainSle:
     def test_triangle_row_has_exactly_its_vertices(self):
         system = build_main_sle(CL3_PAPER)
         triangle = next(f for f in system.faces if f.vertex_set == frozenset({0, 1, 2}))
-        row = system.row_of_face(triangle.face_id)
+        row = row_of_face(system, triangle.face_id)
         assert list(np.nonzero(system.matrix[row])[0]) == [0, 1, 2]
 
     def test_k4_rows_have_three_ones(self):
@@ -188,7 +192,7 @@ class TestEnumerate:
         vectors = enumerate_heawood_vectors(g)
         spins = [v.spins for v in vectors]
         assert spins == sorted(spins)
-        assert {v.negated().spins for v in vectors} == set(spins)
+        assert {negated(v).spins for v in vectors} == set(spins)
 
     @pytest.mark.parametrize("g", [CL3_PAPER, k4(), circular_ladder(4)])
     def test_agrees_with_full_scan(self, g):
@@ -198,7 +202,7 @@ class TestEnumerate:
     def test_cl3_kernel_is_two_dimensional(self):
         system = build_main_sle(CL3_PAPER)
         assert len(kernel_scan(system.matrix)) == 9  # 3**2
-        assert len(gf3.nullspace_basis(system.matrix)) == 2
+        assert len(nullspace_basis(system.matrix)) == 2
 
     def test_cl3_free_assignments_that_survive(self):
         # Of the four sign patterns on the two free columns, exactly the
@@ -221,6 +225,54 @@ class TestEnumerate:
 def _named_graphs():
     graphs = [circular_ladder(n) for n in range(3, 13)] + [k4(), CL3_PAPER]
     return graphs + [c for g in graphs for c in triangle_contractions(g)]
+
+
+class TestPrunedEnumeration:
+    """The pruned listing against the 2**(#free) reference and the count."""
+
+    @pytest.mark.parametrize("g", _named_graphs())
+    def test_matches_reference_under_relabelling(self, g):
+        rng = random.Random(f"enumerate:{g.n_vertices}")
+        assert enumerate_heawood_vectors(g) == reference_enumeration(g)
+        for _ in range(3):
+            relabelled, _ = fresh_relabelling(g, rng)
+            assert enumerate_heawood_vectors(relabelled) == reference_enumeration(relabelled)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_embeddings_match_reference(self, seed):
+        rng = random.Random(f"enumerate-random:{seed}")
+        for n_vertices in range(4, 33, 2):
+            g = random_planar_cubic(n_vertices, rng)
+            assert enumerate_heawood_vectors(g) == reference_enumeration(g), n_vertices
+
+    # Draws that list in well under a second; 96-vertex draws of the same
+    # kind can have 6e5 vectors and take over 15 s.
+    @pytest.mark.parametrize(
+        "n_vertices, seed", [(48, 0), (56, 3), (64, 3), (72, 3), (80, 3), (88, 1)]
+    )
+    def test_beyond_the_reference_matches_the_count(self, n_vertices, seed):
+        g = random_planar_cubic(n_vertices, random.Random(f"beyond:{n_vertices}:{seed}"))
+        system = build_main_sle(g)
+        assert len(system.reduced.parametric().free_cols) >= 23
+        vectors = enumerate_heawood_vectors(g)
+        assert 3 * len(vectors) == count_tait_colorings_heawood(g)
+        spins = np.array([v.spins for v in vectors], dtype=np.int64)
+        assert ((spins @ system.matrix.T) % 3 == 0).all()
+        assert [v.spins for v in vectors] == sorted({v.spins for v in vectors})
+
+    def test_back_substitutes_only_the_survivors(self, monkeypatch):
+        g = random_planar_cubic(32, random.Random("survivors"))
+        batches = []
+        substitute_batch = gf3.ParametricSolution.substitute_batch
+
+        def spy(solution, assignments):
+            batches.append(len(assignments))
+            return substitute_batch(solution, assignments)
+
+        monkeypatch.setattr(gf3.ParametricSolution, "substitute_batch", spy)
+        vectors = enumerate_heawood_vectors(g)
+        assert batches == [len(vectors)]
+        assert 0 < 3 * len(vectors) == count_tait_colorings_heawood(g)
 
 
 class TestCountSweep:
@@ -285,7 +337,33 @@ class TestHeawoodVectorType:
     def test_signs_and_negation(self):
         vec = HeawoodVector((1, 2))
         assert vec.signs == (1, -1)
-        assert vec.negated().spins == (2, 1)
+        assert negated(vec).spins == (2, 1)
+
+    @pytest.mark.parametrize(
+        "bad", [(1.7, 2.2), (1, 1.5), ("1", "2"), "12", (1, None), (float("nan"),), (3,), (-1,)]
+    )
+    def test_rejects_non_integral_or_out_of_range(self, bad):
+        with pytest.raises(ValueError):
+            HeawoodVector(bad)
+
+    def test_integral_entries_become_ints(self):
+        for given in [(1.0, 2.0), (np.int64(1), np.uint8(2)), (True, 2), np.array([1, 2])]:
+            spins = HeawoodVector(given).spins
+            assert spins == (1, 2) and all(type(s) is int for s in spins)
+
+
+class TestTaitColoringType:
+    @pytest.mark.parametrize(
+        "bad", [(0.5, 1.9, 2.0), (0, 1, 2.5), ("0", "1", "2"), "012", (0, 1, 3), (0, -1, 2)]
+    )
+    def test_rejects_non_integral_or_out_of_range(self, bad):
+        with pytest.raises(ValueError):
+            TaitColoring(bad)
+
+    def test_integral_entries_become_ints(self):
+        for given in [(0.0, 1.0, 2.0), (np.int64(0), np.uint8(1), 2), (False, True, 2)]:
+            colors = TaitColoring(given).colors
+            assert colors == (0, 1, 2) and all(type(c) is int for c in colors)
 
 
 class TestColoringCorrespondence:
