@@ -6,8 +6,10 @@ Assign each vertex a spin in {+1, -1}.  A face is satisfied when its
 vertex spins sum to 0 mod 3.  The everywhere-nonzero solutions of the
 resulting linear system (Heawood vectors) are in 3-to-1 correspondence
 with the proper 3-edge-colorings, so counting colorings is counting
-everywhere-nonzero solutions, which a sweep over the face equations does
-without listing them.
+everywhere-nonzero solutions.  Writing each face equation as a character
+sum over Z3 leaves one integer factor per vertex over its three faces,
+and summing the faces out one at a time counts the solutions without
+listing them.
 """
 
 from heawood import (
@@ -37,8 +39,8 @@ for vec in enumerate_heawood_vectors(g):
     print("Heawood vector:", vec.signs)
 
 # Each vector stands for three colorings (cyclic color shifts).  The
-# algebraic count sweeps the vertices, keeping only the partial face sums
-# still open, and the independent brute-force oracle agrees with it.
+# algebraic count sums out the face characters one face at a time, and
+# the independent brute-force oracle agrees with it.
 algebraic = count_tait_colorings_heawood(g)
 brute = count_tait_oracle(g)
 print(f"\ncolorings: algebraic={algebraic}, oracle={brute}")

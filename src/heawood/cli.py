@@ -169,13 +169,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_heawood_list(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     vectors = enumerate_heawood_vectors(g)
-    payload = {
-        "command": "heawood-list",
-        "count": len(vectors),
-        "vectors": [list(vec.signs) for vec in vectors],
-    }
     if args.json:
-        _emit_json(payload)
+        _emit_json({
+            "command": "heawood-list",
+            "count": len(vectors),
+            "vectors": [list(vec.signs) for vec in vectors],
+        })
     else:
         print(f"{len(vectors)} Heawood vectors")
         for vec in vectors:

@@ -16,18 +16,21 @@ the constant step sigma(v), which pins down a proper 3-edge-coloring from
 a single seeded edge and, conversely, reads a spin vector off any proper
 coloring.
 
-Counting does not enumerate.  ``count_tait_colorings_heawood`` sweeps the
-vertices in a greedy order and carries, for every assignment of spins so
-far, only the partial sums mod 3 of the faces the sweep has opened and not
-yet closed (a transfer-matrix count in the manner of Penrose's).  Its cost
-follows that frontier's width, O(sqrt n) faces on planar graphs by the
-separator theorem, and not the number of colorings.  Listing the vectors
+Counting does not enumerate.  ``count_tait_colorings_heawood`` writes each
+face equation as a character sum over Z3, which leaves one small integer
+factor per vertex over its three faces, and sums the face characters out
+one at a time (bucket elimination on the face system that Penrose uses to
+count Tait colorings).  Its cost follows 3**width, where the width is the
+most faces one step joins: the treewidth of the dual triangulation or a
+little more, O(sqrt n) on planar graphs by the separator theorem, and not
+the number of colorings.  Listing the vectors
 (``enumerate_heawood_vectors``) drops a branch of free spins as soon as a
 pivot spin it fixes is 0, so its work follows the surviving branches.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -77,13 +80,17 @@ _CACHED_GRAPHS = 8
 # Maps values equal to a spin (2.0, numpy ints, True) to the int; 1.5 or "1" miss.
 _SPINS = {1: 1, 2: 2}
 
-# Start vertices, spread over the labels, from which the counting sweep
-# tries a greedy order: one start alone made the cost depend on labelling.
-_ORDER_STARTS = 4
+# Most faces one counting elimination step may keep in its table of 3**width
+# cells: on 2 vCPUs, counts of width 12 took up to 4.3 s and 0.21 GB, one of
+# width 13 took 7.7 s and 0.43 GB.
+MAX_ELIMINATION_WIDTH = 12
 
-# Largest sweep score (sum of 3**width) counted: near 3**17 a count took 5..30 s
-# and 0.1..0.4 GB; one of 3**19.4 ran past 100 s.
-MAX_SWEEP_SCORE = 3**17
+# A vertex's factor over the characters a, b, c of its three faces: its spins
+# 1 and 2 give w**u + w**(2u) for u = a + b + c, which is 2 if u = 0 mod 3, else -1.
+_VERTEX_FACTOR = np.array(
+    [[[2 if (a + b + c) % 3 == 0 else -1 for c in range(3)] for b in range(3)] for a in range(3)],
+    dtype=object,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,140 +246,72 @@ def enumerate_heawood_vectors(g: EmbeddedCubicGraph) -> tuple[HeawoodVector, ...
 def count_tait_colorings_heawood(g: EmbeddedCubicGraph) -> int:
     """Number of proper 3-edge-colorings: three per Heawood vector.
 
-    The Heawood vectors are counted, not listed: a sweep over the vertices
-    keeps, per distinct tuple of partial spin sums mod 3 of the open faces,
-    the exact number of spin assignments that reach it, and drops those in
-    which a face closing at the current vertex sums to nonzero.  All n+2
-    faces are checked, the redundant one included.  Time and memory follow
-    the number of such tuples, at most 3**width for a frontier of ``width``
-    open faces, whatever the number of colorings.  Raises
-    ``EnumerationLimitError`` before sweeping when the best order found
-    scores above ``MAX_SWEEP_SCORE``.
+    The Heawood vectors are counted, not listed.  With w = exp(2*pi*i/3),
+    a face's equation holds exactly when (1/3) * sum over t in Z3 of
+    w**(t * its spin sum) is 1, and is 0 otherwise.  Summing every spin
+    over {1, 2} then leaves one integer factor per vertex,
+    h(a + b + c) over the characters a, b, c of its three faces, with
+    h(0) = 2 and h(1) = h(2) = -1.  The count is 3**-(n+2) times the sum of
+    the product of these factors over all characters of the n+2 faces, which
+    is eliminated one face at a time, always a face with the fewest
+    neighbours left, in exact Python ints.  Time and memory follow 3**width,
+    ``width`` the most neighbours an eliminated face had, whatever the number
+    of colorings.  Raises ``EnumerationLimitError`` before building a table
+    wider than ``MAX_ELIMINATION_WIDTH`` faces.
     """
     _require_valid(g)
     faces = trace_faces(g)
-    sizes = [len(face) for face in faces]
+    # Factors as (faces, table), keyed by vertex or eliminated face; each face
+    # lists the keys of the factors that hold it.
+    factors: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
+    holding: list[set[int]] = [set() for _ in faces]
+    neighbours: list[set[int]] = [set() for _ in faces]
     vertex_faces: list[list[int]] = [[] for _ in range(g.n_vertices)]
     for face in faces:
         for v in face.vertex_cycle:
             vertex_faces[v].append(face.face_id)
-    best_order: list[int] = []
-    best_score = None
-    for k in range(_ORDER_STARTS):
-        start = g.n_vertices * k // _ORDER_STARTS
-        found = _greedy_order(g, vertex_faces, sizes, start, best_score)
-        if found is not None:
-            best_order, best_score = found
-    if best_score > MAX_SWEEP_SCORE:
-        raise EnumerationLimitError(
-            f"counting sweep is limited to score {MAX_SWEEP_SCORE} "
-            f"(3**{round(math.log(MAX_SWEEP_SCORE, 3))}); the best vertex order found "
-            f"scores {best_score} (about 3**{math.log(best_score, 3):.1f})"
-        )
-    return 3 * _count_heawood_vectors(vertex_faces, sizes, best_order)
-
-
-def _greedy_order(
-    g: EmbeddedCubicGraph,
-    vertex_faces: list[list[int]],
-    sizes: list[int],
-    start: int,
-    bound: int | None,
-) -> tuple[list[int], int] | None:
-    """A min-frontier sweep order from ``start`` and its score, sum of 3**width.
-
-    Each step takes, among the unswept neighbours of swept vertices, the one
-    that opens the fewest faces net of those it closes, then the one with
-    the most swept neighbours, then the one on the open face with the fewest
-    unswept vertices left, then the one discovered first.  Returns None once
-    the score reaches ``bound``.
-    """
-    remaining = list(sizes)
-    swept_neighbours = [0] * g.n_vertices
-    discovered = {start}
-    candidates = [start]
-    order: list[int] = []
-    width = score = 0
-
-    def rank(v: int) -> tuple[int, int, int]:
-        growth, nearest_close = 0, g.n_vertices
-        for f in vertex_faces[v]:
-            left = remaining[f]
-            if left == sizes[f]:
-                growth += 1
-            else:
-                growth -= left == 1
-                nearest_close = min(nearest_close, left)
-        return growth, -swept_neighbours[v], nearest_close
-
-    while candidates:
-        v = min(candidates, key=rank)
-        width += rank(v)[0]
-        score += 3**width
-        if bound is not None and score >= bound:
-            return None
-        candidates.remove(v)
-        order.append(v)
-        for f in vertex_faces[v]:
-            remaining[f] -= 1
-        for w in g.rotations[v]:
-            swept_neighbours[w] += 1
-            if w not in discovered:
-                discovered.add(w)
-                candidates.append(w)
-    return order, score
-
-
-def _count_heawood_vectors(
-    vertex_faces: list[list[int]], sizes: list[int], order: list[int]
-) -> int:
-    """Number of spin vectors, swept in ``order``, that satisfy every face."""
-    # Each open face holds a slot of the state tuple from its first swept
-    # vertex to its last; a closed face's slot is reset to 0 and reused.
-    remaining = list(sizes)
-    slot_of: dict[int, int] = {}
-    free: list[int] = []
-    n_slots = 0
-    steps: list[tuple[list[int], list[int]]] = []
-    for v in order:
-        touched: list[int] = []
-        closing: list[int] = []
-        for f in vertex_faces[v]:
-            remaining[f] -= 1
-            if f not in slot_of:
-                if free:
-                    slot_of[f] = free.pop()
-                else:
-                    slot_of[f] = n_slots
-                    n_slots += 1
-            (touched if remaining[f] else closing).append(slot_of[f])
-        for f in vertex_faces[v]:
-            if not remaining[f]:
-                free.append(slot_of.pop(f))
-        steps.append((touched, closing))
-
-    states = {(0,) * n_slots: 1}
-    for touched, closing in steps:
-        following: dict[tuple[int, ...], int] = {}
-        for state, count in states.items():
-            if closing:
-                # A face closes at 0 mod 3 only if its sum so far is -s.
-                partial = state[closing[0]]
-                if partial == 0 or any(state[k] != partial for k in closing):
-                    continue
-                spins = (3 - partial,)
-            else:
-                spins = (1, 2)
-            for s in spins:
-                after = list(state)
-                for k in touched:
-                    after[k] = (after[k] + s) % 3
-                for k in closing:
-                    after[k] = 0
-                key = tuple(after)
-                following[key] = following.get(key, 0) + count
-        states = following
-    return sum(states.values())
+    for v, scope in enumerate(vertex_faces):
+        factors[v] = (tuple(scope), _VERTEX_FACTOR)
+        for f in scope:
+            holding[f].add(v)
+            neighbours[f].update(scope)
+    for f, around in enumerate(neighbours):
+        around.discard(f)
+    heap = [(len(around), f) for f, around in enumerate(neighbours)]
+    heapq.heapify(heap)
+    done = [False] * len(faces)
+    while heap:
+        width, x = heapq.heappop(heap)
+        if done[x] or width != len(neighbours[x]):
+            continue
+        if width > MAX_ELIMINATION_WIDTH:
+            raise EnumerationLimitError(
+                f"counting elimination is limited to width {MAX_ELIMINATION_WIDTH}; "
+                f"the least-neighbour order reaches width {width}"
+            )
+        done[x] = True
+        scope = tuple(sorted(neighbours[x]))
+        axis = {f: k for k, f in enumerate((x,) + scope)}
+        operands: list = []
+        for held in holding[x]:
+            held_scope, table = factors.pop(held)
+            for f in held_scope:
+                if f != x:
+                    holding[f].discard(held)
+            operands += [table, [axis[f] for f in held_scope]]
+        key = g.n_vertices + x
+        factors[key] = (scope, np.einsum(*operands, list(range(1, len(scope) + 1))))
+        for y in scope:
+            holding[y].add(key)
+            neighbours[y].update(scope)
+            neighbours[y].difference_update((x, y))
+            heapq.heappush(heap, (len(neighbours[y]), y))
+    # Every face is summed out, so only scalars are left.
+    total = math.prod(table for _, table in factors.values())
+    vectors, remainder = divmod(total, 3 ** len(faces))
+    if remainder:
+        raise AssertionError(f"character sum {total} is not a multiple of 3**{len(faces)}")
+    return 3 * vectors
 
 
 @lru_cache(maxsize=_CACHED_GRAPHS)

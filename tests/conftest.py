@@ -16,6 +16,7 @@ from heawood import (
     contract_triangle,
     gf3,
     trace_faces,
+    validate,
 )
 
 # The repository root, so that tests can draw random planar embeddings
@@ -141,3 +142,138 @@ def reference_enumeration(g) -> tuple[HeawoodVector, ...]:
     keep = (full != 0).all(axis=1)
     spin_tuples = sorted(tuple(int(x) for x in row) for row in full[keep])
     return tuple(HeawoodVector(s) for s in spin_tuples)
+
+
+# Start vertices, spread over the labels, from which the counting sweep
+# tries a greedy order: one start alone made the cost depend on labelling.
+_ORDER_STARTS = 4
+
+
+def reference_sweep_count(g: EmbeddedCubicGraph) -> int:
+    """Number of proper 3-edge-colorings by a frontier sweep over the vertices.
+
+    The former library count, kept as the differential reference for the
+    face elimination: a sweep over the vertices keeps, per distinct tuple of
+    partial spin sums mod 3 of the open faces, the exact number of spin
+    assignments that reach it, and drops those in which a face closing at
+    the current vertex sums to nonzero.  All n+2 faces are checked, the
+    redundant one included.  It has no size limit.
+    """
+    assert validate(g).ok
+    faces = trace_faces(g)
+    sizes = [len(face) for face in faces]
+    vertex_faces: list[list[int]] = [[] for _ in range(g.n_vertices)]
+    for face in faces:
+        for v in face.vertex_cycle:
+            vertex_faces[v].append(face.face_id)
+    best_order: list[int] = []
+    best_score = None
+    for k in range(_ORDER_STARTS):
+        start = g.n_vertices * k // _ORDER_STARTS
+        found = _greedy_order(g, vertex_faces, sizes, start, best_score)
+        if found is not None:
+            best_order, best_score = found
+    return 3 * _count_heawood_vectors(vertex_faces, sizes, best_order)
+
+
+def _greedy_order(
+    g: EmbeddedCubicGraph,
+    vertex_faces: list[list[int]],
+    sizes: list[int],
+    start: int,
+    bound: int | None,
+) -> tuple[list[int], int] | None:
+    """A min-frontier sweep order from ``start`` and its score, sum of 3**width.
+
+    Each step takes, among the unswept neighbours of swept vertices, the one
+    that opens the fewest faces net of those it closes, then the one with
+    the most swept neighbours, then the one on the open face with the fewest
+    unswept vertices left, then the one discovered first.  Returns None once
+    the score reaches ``bound``.
+    """
+    remaining = list(sizes)
+    swept_neighbours = [0] * g.n_vertices
+    discovered = {start}
+    candidates = [start]
+    order: list[int] = []
+    width = score = 0
+
+    def rank(v: int) -> tuple[int, int, int]:
+        growth, nearest_close = 0, g.n_vertices
+        for f in vertex_faces[v]:
+            left = remaining[f]
+            if left == sizes[f]:
+                growth += 1
+            else:
+                growth -= left == 1
+                nearest_close = min(nearest_close, left)
+        return growth, -swept_neighbours[v], nearest_close
+
+    while candidates:
+        v = min(candidates, key=rank)
+        width += rank(v)[0]
+        score += 3**width
+        if bound is not None and score >= bound:
+            return None
+        candidates.remove(v)
+        order.append(v)
+        for f in vertex_faces[v]:
+            remaining[f] -= 1
+        for w in g.rotations[v]:
+            swept_neighbours[w] += 1
+            if w not in discovered:
+                discovered.add(w)
+                candidates.append(w)
+    return order, score
+
+
+def _count_heawood_vectors(
+    vertex_faces: list[list[int]], sizes: list[int], order: list[int]
+) -> int:
+    """Number of spin vectors, swept in ``order``, that satisfy every face."""
+    # Each open face holds a slot of the state tuple from its first swept
+    # vertex to its last; a closed face's slot is reset to 0 and reused.
+    remaining = list(sizes)
+    slot_of: dict[int, int] = {}
+    free: list[int] = []
+    n_slots = 0
+    steps: list[tuple[list[int], list[int]]] = []
+    for v in order:
+        touched: list[int] = []
+        closing: list[int] = []
+        for f in vertex_faces[v]:
+            remaining[f] -= 1
+            if f not in slot_of:
+                if free:
+                    slot_of[f] = free.pop()
+                else:
+                    slot_of[f] = n_slots
+                    n_slots += 1
+            (touched if remaining[f] else closing).append(slot_of[f])
+        for f in vertex_faces[v]:
+            if not remaining[f]:
+                free.append(slot_of.pop(f))
+        steps.append((touched, closing))
+
+    states = {(0,) * n_slots: 1}
+    for touched, closing in steps:
+        following: dict[tuple[int, ...], int] = {}
+        for state, count in states.items():
+            if closing:
+                # A face closes at 0 mod 3 only if its sum so far is -s.
+                partial = state[closing[0]]
+                if partial == 0 or any(state[k] != partial for k in closing):
+                    continue
+                spins = (3 - partial,)
+            else:
+                spins = (1, 2)
+            for s in spins:
+                after = list(state)
+                for k in touched:
+                    after[k] = (after[k] + s) % 3
+                for k in closing:
+                    after[k] = 0
+                key = tuple(after)
+                following[key] = following.get(key, 0) + count
+        states = following
+    return sum(states.values())

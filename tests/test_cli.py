@@ -111,15 +111,26 @@ class TestCount:
             "oracle": 6,
         }
 
-    def test_refuses_a_sweep_too_wide(self, tmp_path, capsys):
+    def test_counts_a_draw_too_wide_for_the_sweep(self, tmp_path, capsys):
         rng = random.Random(3)
         random_planar_cubic(300, rng)
+        g = random_planar_cubic(300, rng)
         path = tmp_path / "wide.graph"
-        path.write_text(format_graph(random_planar_cubic(300, rng)), encoding="utf-8")
+        path.write_text(format_graph(g), encoding="utf-8")
+        assert main(["count", str(path)]) == 0
+        assert f"heawood: {heawood.count_tait_colorings_heawood(g)}" in capsys.readouterr().out
+
+    def test_refuses_an_elimination_too_wide(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(heawood.spins, "MAX_ELIMINATION_WIDTH", 3)
+        path = tmp_path / "cl50.graph"
+        path.write_text(format_graph(heawood.circular_ladder(50)), encoding="utf-8")
         assert main(["count", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: counting sweep is limited to score")
+        assert captured.err == (
+            "error: counting elimination is limited to width 3; "
+            "the least-neighbour order reaches width 4\n"
+        )
 
 
 class TestHeawoodList:

@@ -47,6 +47,7 @@ from conftest import (
     negated,
     nullspace_basis,
     reference_enumeration,
+    reference_sweep_count,
     row_of_face,
     triangle_contractions,
 )
@@ -275,8 +276,15 @@ class TestPrunedEnumeration:
         assert 0 < 3 * len(vectors) == count_tait_colorings_heawood(g)
 
 
+def _within_the_bound(g, count):
+    """The paper's bound: 3 * 2**(n-1) when non-bipartite, 3 * 2**n when bipartite."""
+    n = g.n_vertices // 2
+    return count <= 3 * 2 ** (n if is_bipartite(g) is not None else n - 1)
+
+
 class TestCountSweep:
-    """The frontier count against enumeration, the oracle and closed forms."""
+    """The face elimination against enumeration, the oracle, the former
+    frontier sweep and closed forms."""
 
     @pytest.mark.parametrize("g", _named_graphs())
     def test_matches_enumeration_under_relabelling(self, g):
@@ -301,6 +309,34 @@ class TestCountSweep:
     def test_circular_ladders_beyond_enumeration(self, n):
         assert count_tait_colorings_heawood(circular_ladder(n)) == cln_formula(n)
 
+    def test_circular_ladders_match_the_sweep(self):
+        rng = random.Random("count-ladders")
+        for n in range(3, 201):
+            g = circular_ladder(n)
+            relabelled, _ = fresh_relabelling(g, rng)
+            expected = reference_sweep_count(g)
+            assert count_tait_colorings_heawood(g) == expected, n
+            assert count_tait_colorings_heawood(relabelled) == expected, n
+            assert _within_the_bound(g, expected), n
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_embeddings_match_the_sweep_within_the_bound(self, seed):
+        rng = random.Random(f"count-reference:{seed}")
+        for _ in range(5):
+            g = random_planar_cubic(rng.randrange(30, 151, 2), rng)
+            relabelled, _ = fresh_relabelling(g, rng)
+            expected = reference_sweep_count(g)
+            assert count_tait_colorings_heawood(g) == expected, g.n_vertices
+            assert count_tait_colorings_heawood(relabelled) == expected, g.n_vertices
+            assert _within_the_bound(g, expected), g.n_vertices
+
+    def test_300_vertex_draw_matches_the_sweep(self):
+        g = random_planar_cubic(300, random.Random(3))
+        relabelled, _ = fresh_relabelling(g, random.Random("count-300"))
+        expected = reference_sweep_count(g)
+        assert count_tait_colorings_heawood(g) == expected
+        assert count_tait_colorings_heawood(relabelled) == expected
+
     def test_never_enumerates(self, monkeypatch):
         def refuse(g):
             raise AssertionError("counting enumerated the Heawood vectors")
@@ -308,16 +344,34 @@ class TestCountSweep:
         monkeypatch.setattr(spins, "enumerate_heawood_vectors", refuse)
         assert count_tait_colorings_heawood(circular_ladder(9)) == cln_formula(9)
 
-    def test_wide_sweep_refused_before_counting(self):
+    def test_draw_too_wide_for_the_sweep_counts(self):
+        # The former sweep refused this draw: its best order scored 3**19.4.
         rng = random.Random(3)
-        narrow, wide = random_planar_cubic(300, rng), random_planar_cubic(300, rng)
-        refusal = r"limited to score 129140163 \(3\*\*17\).* \(about 3\*\*19\.4\)"
-        with pytest.raises(EnumerationLimitError, match=refusal):
-            count_tait_colorings_heawood(wide)
+        random_planar_cubic(300, rng)
+        g = random_planar_cubic(300, rng)
+        count = count_tait_colorings_heawood(g)
         # Positive, and a multiple of 6: Heawood vectors pair up by negation.
-        count = count_tait_colorings_heawood(narrow)
         assert count > 0 and count % 6 == 0
+        assert _within_the_bound(g, count)
+        for _ in range(3):
+            relabelled, _ = fresh_relabelling(g, rng)
+            assert count_tait_colorings_heawood(relabelled) == count
         assert count_tait_colorings_heawood(circular_ladder(1000)) == cln_formula(1000)
+
+    def test_wide_elimination_refused_before_counting(self, monkeypatch):
+        widths = []
+        einsum = np.einsum
+
+        def spy(*operands):
+            widths.append(len(operands[-1]))
+            return einsum(*operands)
+
+        monkeypatch.setattr(spins, "MAX_ELIMINATION_WIDTH", 3)
+        monkeypatch.setattr(spins.np, "einsum", spy)
+        # Every face of cl_50 has at least four neighbouring faces.
+        with pytest.raises(EnumerationLimitError, match="limited to width 3; .* width 4$"):
+            count_tait_colorings_heawood(circular_ladder(50))
+        assert widths == []
 
     def test_invalid_graph_rejected(self):
         with pytest.raises(InvalidGraphError):
