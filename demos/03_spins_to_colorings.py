@@ -6,7 +6,9 @@ Around any vertex v, the colors of its three edges taken in
 counterclockwise rotation order advance by the constant step sigma(v).
 Fixing the color of one seed edge therefore propagates a full proper
 3-edge-coloring, and reading the steps off a proper coloring recovers
-the spin vector.
+the spin vector.  The order in which edges are reached depends only on
+the graph and the seed edge, so the library compiles it once and replays
+it for every vector.
 """
 
 from heawood import (

@@ -402,7 +402,8 @@ def parse_graph(text: str) -> EmbeddedCubicGraph:
             triples[v] = neighbors
     if declared is None:
         raise GraphFormatError("missing 'vertices <count>' header")
-    if sorted(triples) != list(range(declared)):
+    # Compare sizes first, so that nothing sized by the header is built.
+    if len(triples) != declared or sorted(triples) != list(range(declared)):
         raise GraphFormatError(
             f"vertex lines cover {sorted(triples)} but the header declares 0..{declared - 1}"
         )

@@ -139,28 +139,30 @@ def is_proper_coloring(g, coloring: TaitColoring) -> bool:
     return True
 
 
-def _perfect_matching(adjacency: Sequence[Sequence[int]]) -> list[Edge] | None:
+def _perfect_matching(adjacency: Sequence[Sequence[int]]) -> list[int] | None:
+    """Partners in the first perfect matching found depth-first, lowest vertex first."""
     n = len(adjacency)
     partner: list[int | None] = [None] * n
-
-    def extend(v: int) -> bool:
+    stack: list[tuple[int, int]] = []  # (vertex, slot of its partner) per matched pair
+    v, start = 0, 0
+    while True:
         while v < n and partner[v] is not None:
             v += 1
         if v == n:
-            return True
-        for w in adjacency[v]:
+            return partner
+        for slot in range(start, len(adjacency[v])):
+            w = adjacency[v][slot]
             if partner[w] is None:
-                partner[v] = w
-                partner[w] = v
-                if extend(v + 1):
-                    return True
-                partner[v] = None
-                partner[w] = None
-        return False
-
-    if not extend(0):
-        return None
-    return [(v, partner[v]) for v in range(n) if v < partner[v]]
+                partner[v], partner[w] = w, v
+                stack.append((v, slot))
+                v, start = v + 1, 0
+                break
+        else:
+            if not stack:
+                return None
+            v, slot = stack.pop()
+            partner[v] = partner[adjacency[v][slot]] = None
+            start = slot + 1
 
 
 def bipartite_tait_construct(g, parts: Bipartition | None = None) -> TaitColoring:
@@ -175,34 +177,31 @@ def bipartite_tait_construct(g, parts: Bipartition | None = None) -> TaitColorin
         parts = is_bipartite(g)
     if parts is None:
         raise NotBipartiteError("graph is not bipartite")
-    matching = _perfect_matching(adjacency)
-    if matching is None:
+    partner = _perfect_matching(adjacency)
+    if partner is None:
         # Bipartite cubic graphs always have one; only corrupt input gets here.
         raise AssertionError("no perfect matching found in a bipartite cubic graph")
     edge_list = edges(g)
     slot = {e: i for i, e in enumerate(edge_list)}
     colors: list[int | None] = [None] * len(edge_list)
-    matched_with = {}
-    for u, v in matching:
-        colors[slot[(u, v)]] = 0
-        matched_with[u] = v
-        matched_with[v] = u
+    for u, v in enumerate(partner):
+        if u < v:
+            colors[slot[(u, v)]] = 0
     for start in range(len(adjacency)):
-        first = [w for w in adjacency[start] if w != matched_with[start]]
+        first = [w for w in adjacency[start] if w != partner[start]]
         e0 = (start, first[0]) if start < first[0] else (first[0], start)
         if colors[slot[e0]] is not None:
             continue
         # Walk the 2-factor cycle through ``start``, alternating 1 and 2.
         prev, current = start, min(first)
-        color = 1
-        steps = 0
+        color, steps = 1, 0
         while True:
             e = (prev, current) if prev < current else (current, prev)
             colors[slot[e]] = color
             color = 3 - color
             steps += 1
             nxt = next(
-                w for w in adjacency[current] if w != matched_with[current] and w != prev
+                w for w in adjacency[current] if w != partner[current] and w != prev
             )
             prev, current = current, nxt
             if prev == start or steps > 2 * len(edge_list):

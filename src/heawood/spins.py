@@ -9,21 +9,20 @@ the one matching ``outer_face_hint`` when present, else the face with the
 lexicographically smallest cycle -- ranks and solution sets do not depend
 on the choice.
 
-A Heawood vector is an everywhere-nonzero solution, one spin per vertex,
-+1 stored as 1 and -1 as 2.  Spins drive edge colors: walking the three
-edges of vertex v in counterclockwise rotation order advances the color by
-the constant step sigma(v), which pins down a proper 3-edge-coloring from
-a single seeded edge and, conversely, reads a spin vector off any proper
-coloring.
+A Heawood vector is an everywhere-nonzero solution, one spin per vertex, +1
+stored as 1 and -1 as 2.  Spins drive edge colors: walking the three edges of
+vertex v in counterclockwise rotation order advances the color by the constant
+step sigma(v).  A breadth-first propagation from a seeded edge, compiled once
+per graph and seed and replayed per vector, gives a vector's proper
+3-edge-coloring; a 27-entry table reads the spins back off any coloring.
 
 Counting does not enumerate.  ``count_tait_colorings_heawood`` writes each
 face equation as a character sum over Z3, which leaves one small integer
 factor per vertex over its three faces, and sums the face characters out
 one at a time (bucket elimination on the face system that Penrose uses to
-count Tait colorings).  Its cost follows 3**width, where the width is the
-most faces one step joins: the treewidth of the dual triangulation or a
-little more, O(sqrt n) on planar graphs by the separator theorem, and not
-the number of colorings.  Listing the vectors
+count Tait colorings).  Its cost follows 3**width, the width being the most
+faces one step joins (about the treewidth of the dual triangulation,
+O(sqrt n) on planar graphs), not the number of colorings.  Listing the vectors
 (``enumerate_heawood_vectors``) drops a branch of free spins as soon as a
 pivot spin it fixes is 0, so its work follows the surviving branches.
 """
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -73,8 +71,8 @@ __all__ = [
     "contract_triangle",
 ]
 
-# Graphs whose main system and Heawood vectors stay cached; an op reuses
-# only its own graph, so a few suffice and memory stays bounded.
+# Graphs whose validation, main system, conversion tables, propagation plans
+# and Heawood vectors stay cached; an op reuses only its own graph, so a few suffice.
 _CACHED_GRAPHS = 8
 
 # Maps values equal to a spin (2.0, numpy ints, True) to the int; 1.5 or "1" miss.
@@ -84,6 +82,12 @@ _SPINS = {1: 1, 2: 2}
 # cells: on 2 vCPUs, counts of width 12 took up to 4.3 s and 0.21 GB, one of
 # width 13 took 7.7 s and 0.43 GB.
 MAX_ELIMINATION_WIDTH = 12
+
+# At 9*c0 + 3*c1 + c2, the spin of a vertex whose edges have colors c0, c1, c2
+# in rotation order: the constant step c1 - c0, or 0 when a color repeats.
+_STEP_OF_COLORS = tuple(
+    (b - a) % 3 if len({a, b, c}) == 3 else 0 for a in range(3) for b in range(3) for c in range(3)
+)
 
 # A vertex's factor over the characters a, b, c of its three faces: its spins
 # 1 and 2 give w**u + w**(2u) for u = a + b + c, which is 2 if u = 0 mod 3, else -1.
@@ -144,6 +148,7 @@ class HeawoodVector:
         return tuple(1 if s == 1 else -1 for s in self.spins)
 
 
+@lru_cache(maxsize=_CACHED_GRAPHS)
 def _require_valid(g: EmbeddedCubicGraph) -> None:
     report = validate(g)
     if not report.ok:
@@ -189,15 +194,12 @@ def _build_main_sle(g: EmbeddedCubicGraph, drop_face_id: int | None) -> HeawoodS
         drop_face_id = _default_dropped_face(g, faces)
     elif not 0 <= drop_face_id < len(faces):
         raise ValueError(f"face id {drop_face_id} out of range for {len(faces)} faces")
-    matrix = np.zeros((len(faces) - 1, g.n_vertices), dtype=np.uint8)
-    row_face_ids: list[int] = []
-    for face in faces:
-        if face.face_id == drop_face_id:
-            continue
-        matrix[len(row_face_ids), list(face.vertex_cycle)] = 1
-        row_face_ids.append(face.face_id)
+    row_face_ids = tuple(f.face_id for f in faces if f.face_id != drop_face_id)
+    matrix = np.zeros((len(row_face_ids), g.n_vertices), dtype=np.uint8)
+    for row, face_id in enumerate(row_face_ids):
+        matrix[row, list(faces[face_id].vertex_cycle)] = 1
     matrix.setflags(write=False)
-    return HeawoodSystem(matrix, faces, tuple(row_face_ids), drop_face_id)
+    return HeawoodSystem(matrix, faces, row_face_ids, drop_face_id)
 
 
 def sle_rank(g: EmbeddedCubicGraph, drop_face_id: int | None = None) -> int:
@@ -326,19 +328,43 @@ def _conversion_tables(g: EmbeddedCubicGraph):
     return edge_list, edge_index, incident
 
 
+@lru_cache(maxsize=_CACHED_GRAPHS)
+def _propagation_plan(g: EmbeddedCubicGraph, seed: int):
+    """Breadth-first color propagation from edge id ``seed``, whose order no spin changes.
+
+    Each relation met, colors[other] = colors[e] + j * spins[vertex], goes to
+    ``steps`` if it colors a new edge, else to ``checks`` unless ``other`` left
+    the queue first and so met it already; both as flat columns other, e, vertex, j.
+    """
+    edge_list, _, incident = _conversion_tables(g)
+    queue, position, steps, checks = [seed], {seed: 0}, [], []
+    for e in queue:  # the queue grows while it is walked, first in first out
+        for vertex in edge_list[e]:
+            triple = incident[vertex]
+            k = triple.index(e)
+            for j in (1, 2):
+                other = triple[(k + j) % 3]
+                if other not in position:
+                    position[other] = len(queue)
+                    queue.append(other)
+                    steps.append((other, e, vertex, j))
+                elif position[other] > position[e]:
+                    checks.append((other, e, vertex, j))
+    if len(queue) != len(edge_list):
+        raise AssertionError("propagation missed an edge of a connected graph")
+    return tuple(zip(*steps)), tuple(zip(*checks))
+
+
 def heawood_to_tait(
-    g: EmbeddedCubicGraph,
-    vector: HeawoodVector,
-    seed_edge: Edge,
-    seed_color: int,
+    g: EmbeddedCubicGraph, vector: HeawoodVector, seed_edge: Edge, seed_color: int
 ) -> TaitColoring:
     """Propagate edge colors from one seeded edge using the vertex spin steps.
 
-    Breadth-first over edges through shared vertices; reaching all 3n edges
-    without conflict is exactly what certifies ``vector`` against every
-    face equation, so a conflict raises ``NotAHeawoodVectorError``.
+    Replays the seed's cached propagation plan: its steps color every edge;
+    its checks all hold exactly when ``vector`` meets every face equation,
+    and the first broken one raises ``NotAHeawoodVectorError`` naming its edge.
     """
-    edge_list, edge_index, incident = _conversion_tables(g)
+    edge_list, edge_index, _ = _conversion_tables(g)
     if len(vector.spins) != g.n_vertices:
         raise ValueError(f"vector has {len(vector.spins)} spins for {g.n_vertices} vertices")
     if seed_color not in (0, 1, 2):
@@ -347,51 +373,29 @@ def heawood_to_tait(
     seed = (u, v) if u < v else (v, u)
     if seed not in edge_index:
         raise ValueError(f"unknown seed edge {seed_edge}")
-
-    colors: list[int | None] = [None] * len(edge_list)
-    colors[edge_index[seed]] = seed_color
-    queue: deque[int] = deque([edge_index[seed]])
-    while queue:
-        e = queue.popleft()
-        c = colors[e]
-        for vertex in edge_list[e]:
-            triple = incident[vertex]
-            k = triple.index(e)
-            step = vector.spins[vertex]
-            for j in (1, 2):
-                other = triple[(k + j) % 3]
-                expected = (c + j * step) % 3
-                if colors[other] is None:
-                    colors[other] = expected
-                    queue.append(other)
-                elif colors[other] != expected:
-                    raise NotAHeawoodVectorError(
-                        f"color propagation conflicts at edge {edge_list[other]}: "
-                        "the given spins are not a Heawood vector"
-                    )
-    if any(c is None for c in colors):
-        raise AssertionError("propagation missed an edge of a connected graph")
+    steps, checks = _propagation_plan(g, edge_index[seed])
+    # Every other edge is colored by a step before any step or check reads it.
+    spins, colors = vector.spins, [seed_color] * len(edge_list)
+    for other, e, vertex, j in zip(*steps):
+        colors[other] = (colors[e] + j * spins[vertex]) % 3
+    for other, e, vertex, j in zip(*checks):
+        if colors[other] != (colors[e] + j * spins[vertex]) % 3:
+            raise NotAHeawoodVectorError(
+                f"color propagation conflicts at edge {edge_list[other]}: "
+                "the given spins are not a Heawood vector"
+            )
     return TaitColoring(tuple(colors))
 
 
 def tait_to_heawood(g: EmbeddedCubicGraph, coloring: TaitColoring) -> HeawoodVector:
-    """Read each vertex's constant counterclockwise color step as its spin."""
+    """Read each vertex's counterclockwise color step as its spin from ``_STEP_OF_COLORS``."""
     edge_list, _, incident = _conversion_tables(g)
-    if len(coloring.colors) != len(edge_list):
-        raise ValueError(
-            f"coloring has {len(coloring.colors)} entries for {len(edge_list)} edges"
-        )
-    spins: list[int] = []
-    for vertex in range(g.n_vertices):
-        c0, c1, c2 = (coloring.colors[e] for e in incident[vertex])
-        if len({c0, c1, c2}) != 3:
-            raise ImproperColoringError(f"edges at vertex {vertex} repeat a color")
-        step = (c1 - c0) % 3
-        if step != (c2 - c1) % 3 or step not in (1, 2):
-            # Three distinct colors in cyclic order always advance by a
-            # constant nonzero step; hitting this means a bug, not bad input.
-            raise AssertionError(f"non-constant color step at vertex {vertex}")
-        spins.append(step)
+    colors = coloring.colors
+    if len(colors) != len(edge_list):
+        raise ValueError(f"coloring has {len(colors)} entries for {len(edge_list)} edges")
+    spins = [_STEP_OF_COLORS[9 * colors[a] + 3 * colors[b] + colors[c]] for a, b, c in incident]
+    if 0 in spins:
+        raise ImproperColoringError(f"edges at vertex {spins.index(0)} repeat a color")
     return HeawoodVector(tuple(spins))
 
 
@@ -426,9 +430,7 @@ def contract_triangle(g: EmbeddedCubicGraph, face_id: int) -> EmbeddedCubicGraph
         raise ContractionError(f"face {face_id} has {len(cycle)} vertices, not a triangle")
     a, b, c = cycle
     triangle = {a, b, c}
-    outward = {}
-    for x in (a, b, c):
-        outward[x] = next(w for w in g.rotations[x] if w not in triangle)
+    outward = {x: next(w for w in g.rotations[x] if w not in triangle) for x in cycle}
     if len(set(outward.values())) != 3:
         raise ContractionError(
             "contraction would create parallel edges: two triangle vertices "
@@ -437,10 +439,8 @@ def contract_triangle(g: EmbeddedCubicGraph, face_id: int) -> EmbeddedCubicGraph
     survivors = [v for v in range(g.n_vertices) if v not in triangle]
     new_id = {old: i for i, old in enumerate(survivors)}
     z = len(survivors)
-    rotations: list[tuple[int, ...]] = []
-    for old in survivors:
-        rotations.append(
-            tuple(z if w in triangle else new_id[w] for w in g.rotations[old])
-        )
+    rotations = [
+        tuple(z if w in triangle else new_id[w] for w in g.rotations[old]) for old in survivors
+    ]
     rotations.append((new_id[outward[c]], new_id[outward[b]], new_id[outward[a]]))
     return EmbeddedCubicGraph(tuple(rotations))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,17 @@ from heawood import (
     ContractionError,
     EmbeddedCubicGraph,
     HeawoodVector,
+    ImproperColoringError,
+    NotAHeawoodVectorError,
+    TaitColoring,
     build_main_sle,
     contract_triangle,
     gf3,
     trace_faces,
     validate,
 )
+from heawood.graphs import Edge
+from heawood.spins import _conversion_tables
 
 # The repository root, so that tests can draw random planar embeddings
 # from the benchmark's generator (perfbench.graphgen).
@@ -277,3 +283,105 @@ def _count_heawood_vectors(
                 following[key] = following.get(key, 0) + count
         states = following
     return sum(states.values())
+
+
+def reference_heawood_to_tait(
+    g: EmbeddedCubicGraph,
+    vector: HeawoodVector,
+    seed_edge: Edge,
+    seed_color: int,
+) -> TaitColoring:
+    """Propagate edge colors from one seeded edge using the vertex spin steps.
+
+    The former library conversion, kept as the differential reference for
+    the compiled propagation plan: a fresh breadth-first search per vector.
+
+    Breadth-first over edges through shared vertices; reaching all 3n edges
+    without conflict is exactly what certifies ``vector`` against every
+    face equation, so a conflict raises ``NotAHeawoodVectorError``.
+    """
+    edge_list, edge_index, incident = _conversion_tables(g)
+    if len(vector.spins) != g.n_vertices:
+        raise ValueError(f"vector has {len(vector.spins)} spins for {g.n_vertices} vertices")
+    if seed_color not in (0, 1, 2):
+        raise ValueError(f"seed color must be 0, 1 or 2, got {seed_color}")
+    u, v = seed_edge
+    seed = (u, v) if u < v else (v, u)
+    if seed not in edge_index:
+        raise ValueError(f"unknown seed edge {seed_edge}")
+
+    colors: list[int | None] = [None] * len(edge_list)
+    colors[edge_index[seed]] = seed_color
+    queue: deque[int] = deque([edge_index[seed]])
+    while queue:
+        e = queue.popleft()
+        c = colors[e]
+        for vertex in edge_list[e]:
+            triple = incident[vertex]
+            k = triple.index(e)
+            step = vector.spins[vertex]
+            for j in (1, 2):
+                other = triple[(k + j) % 3]
+                expected = (c + j * step) % 3
+                if colors[other] is None:
+                    colors[other] = expected
+                    queue.append(other)
+                elif colors[other] != expected:
+                    raise NotAHeawoodVectorError(
+                        f"color propagation conflicts at edge {edge_list[other]}: "
+                        "the given spins are not a Heawood vector"
+                    )
+    if any(c is None for c in colors):
+        raise AssertionError("propagation missed an edge of a connected graph")
+    return TaitColoring(tuple(colors))
+
+
+def reference_tait_to_heawood(g: EmbeddedCubicGraph, coloring: TaitColoring) -> HeawoodVector:
+    """Read each vertex's constant counterclockwise color step as its spin.
+
+    The former library conversion, kept as the differential reference for
+    the step table.
+    """
+    edge_list, _, incident = _conversion_tables(g)
+    if len(coloring.colors) != len(edge_list):
+        raise ValueError(
+            f"coloring has {len(coloring.colors)} entries for {len(edge_list)} edges"
+        )
+    spins: list[int] = []
+    for vertex in range(g.n_vertices):
+        c0, c1, c2 = (coloring.colors[e] for e in incident[vertex])
+        if len({c0, c1, c2}) != 3:
+            raise ImproperColoringError(f"edges at vertex {vertex} repeat a color")
+        step = (c1 - c0) % 3
+        if step != (c2 - c1) % 3 or step not in (1, 2):
+            # Three distinct colors in cyclic order always advance by a
+            # constant nonzero step; hitting this means a bug, not bad input.
+            raise AssertionError(f"non-constant color step at vertex {vertex}")
+        spins.append(step)
+    return HeawoodVector(tuple(spins))
+
+
+def reference_perfect_matching(adjacency) -> list[Edge] | None:
+    """The former recursive matching search of the oracle, one call per matched
+    pair, kept as the differential reference for its explicit stack."""
+    n = len(adjacency)
+    partner: list[int | None] = [None] * n
+
+    def extend(v: int) -> bool:
+        while v < n and partner[v] is not None:
+            v += 1
+        if v == n:
+            return True
+        for w in adjacency[v]:
+            if partner[w] is None:
+                partner[v] = w
+                partner[w] = v
+                if extend(v + 1):
+                    return True
+                partner[v] = None
+                partner[w] = None
+        return False
+
+    if not extend(0):
+        return None
+    return [(v, partner[v]) for v in range(n) if v < partner[v]]

@@ -133,6 +133,17 @@ class TestCount:
         )
 
 
+    def test_huge_header_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "huge.graph"
+        path.write_text("vertices 1000000000000000000\n0: 1 2 3\n1: 0 2 3\n", encoding="utf-8")
+        assert main(["count", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: vertex lines cover [0, 1] but the header declares 0..999999999999999999\n"
+        )
+
+
 class TestHeawoodList:
     def test_lists_golden_vectors(self, cl3_file, capsys):
         assert main(["heawood", "list", cl3_file]) == 0

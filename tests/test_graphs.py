@@ -1,5 +1,7 @@
 """Embedding validation, face tracing, and the text format."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -217,6 +219,26 @@ class TestTextFormat:
     def test_vertex_coverage_mismatch(self):
         with pytest.raises(GraphFormatError):
             parse_graph("vertices 4\n0: 1 2 3\n")
+
+    def test_huge_header_rejected_before_anything_it_sizes(self):
+        text = "vertices 1000000000000000000\n0: 1 2 3\n1: 0 2 3\n"
+        with pytest.raises(GraphFormatError) as caught:
+            parse_graph(text)
+        assert str(caught.value) == (
+            "vertex lines cover [0, 1] but the header declares 0..999999999999999999"
+        )
+
+    def test_header_allocates_nothing_it_declares(self):
+        # A header of a million vertices cost ~40 MB when the expected id
+        # list was built before the vertex lines were counted.
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError):
+                parse_graph("vertices 1000000\n0: 1 2 3\n1: 0 2 3\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_non_integer_rejected(self):
         with pytest.raises(GraphFormatError):

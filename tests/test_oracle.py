@@ -1,5 +1,7 @@
 """The brute-force coloring oracle and the bipartite construction."""
 
+import random
+
 import pytest
 
 from heawood import (
@@ -19,7 +21,19 @@ from heawood import (
     relabel,
 )
 
-from conftest import CL3_PAPER
+from heawood.oracle import _adjacency_of, _perfect_matching
+from perfbench.graphgen import fresh_relabelling, random_planar_cubic
+
+from conftest import CL3_PAPER, reference_perfect_matching
+
+
+def _matching_graphs():
+    """Ladders, bipartite relabellings of even ladders and random planar draws."""
+    rng = random.Random("matching")
+    graphs = [circular_ladder(n) for n in range(3, 31)]
+    graphs += [mobius_ladder(n) for n in range(3, 16)]
+    graphs += [fresh_relabelling(circular_ladder(n), rng)[0] for n in range(4, 31, 2)]
+    return graphs + [random_planar_cubic(n, rng) for n in range(4, 61, 2)]
 
 
 class TestCount:
@@ -102,6 +116,27 @@ class TestBipartiteConstruct:
     def test_cl3_rejected(self):
         with pytest.raises(NotBipartiteError):
             bipartite_tait_construct(CL3_PAPER)
+
+    @pytest.mark.parametrize("g", _matching_graphs())
+    def test_matching_equals_the_recursive_search(self, g):
+        adjacency = _adjacency_of(g)
+        partner = _perfect_matching(adjacency)
+        pairs = [(u, w) for u, w in enumerate(partner) if u < w]
+        assert pairs == reference_perfect_matching(adjacency)
+
+    def test_relabelled_bipartite_ladders(self):
+        rng = random.Random("bipartite construct")
+        for n in range(4, 31, 2):
+            g, _ = fresh_relabelling(circular_ladder(n), rng)
+            assert is_proper_coloring(g, bipartite_tait_construct(g))
+
+    def test_cl1000_needs_no_recursion(self):
+        # The recursive search went one call deeper per matched pair, past
+        # Python's default limit of 1000 frames on 2000 vertices.
+        g = circular_ladder(1000)
+        coloring = bipartite_tait_construct(g)
+        assert is_proper_coloring(g, coloring)
+        assert sorted(coloring.colors) == [0] * 1000 + [1] * 1000 + [2] * 1000
 
 
 class TestProperChecker:

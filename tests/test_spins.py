@@ -47,7 +47,9 @@ from conftest import (
     negated,
     nullspace_basis,
     reference_enumeration,
+    reference_heawood_to_tait,
     reference_sweep_count,
+    reference_tait_to_heawood,
     row_of_face,
     triangle_contractions,
 )
@@ -500,8 +502,8 @@ class TestColoringCorrespondence:
         seed_edge = edges(g)[0]
         for vec in enumerate_heawood_vectors(g):
             assert tait_to_heawood(g, heawood_to_tait(g, vec, seed_edge, 0)) == vec
-        # One check for the main system, one for the conversion tables.
-        assert checks == [g, g]
+        # The main system and the conversion tables share one check.
+        assert checks == [g]
 
     def test_invalid_graph_rejected_on_every_call(self):
         vec = HeawoodVector((1,) * DUMBBELL.n_vertices)
@@ -511,6 +513,98 @@ class TestColoringCorrespondence:
                 heawood_to_tait(DUMBBELL, vec, (0, 2), 0)
             with pytest.raises(InvalidGraphError):
                 tait_to_heawood(DUMBBELL, coloring)
+
+
+def _outcome(convert, *args):
+    """The result of a conversion, or the type and message of what it raised."""
+    try:
+        return convert(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _conversion_graphs():
+    """Named graphs and their contractions, then 64 draws of 4..60 vertices,
+    each under a seeded relabelling."""
+    rng = random.Random("conversions")
+    draws = [random_planar_cubic(4 + 2 * (i % 29), rng) for i in range(64)]
+    return [fresh_relabelling(g, rng)[0] for g in _named_graphs() + draws]
+
+
+class TestCompiledConversions:
+    """The replayed propagation plan and the step table against the former
+    per-vector breadth-first search, results and exception messages alike."""
+
+    @pytest.mark.parametrize("part", range(8))
+    def test_match_the_reference(self, part):
+        for index, g in enumerate(_conversion_graphs()[part::8]):
+            rng = random.Random(f"conversions:{part}:{index}")
+            n_edges = 3 * g.n_vertices // 2
+            edge_list = edges(g)
+            valid = list(enumerate_heawood_vectors(g))
+            vectors = rng.sample(valid, min(len(valid), 6))
+            # Vectors with one or two spins flipped break relations at chosen places.
+            for vec in rng.sample(valid, min(len(valid), 4)):
+                spins = list(vec.spins)
+                for v in rng.sample(range(g.n_vertices), rng.choice((1, 2))):
+                    spins[v] = 3 - spins[v]
+                vectors.append(HeawoodVector(tuple(spins)))
+            vectors += [
+                HeawoodVector(tuple(rng.choice((1, 2)) for _ in range(g.n_vertices)))
+                for _ in range(6)
+            ]
+            colorings = []
+            for vec in vectors:
+                for seed_edge in rng.sample(edge_list, 3):
+                    for seed_color in (0, 1, 2):
+                        args = (g, vec, seed_edge[::rng.choice((1, -1))], seed_color)
+                        got = _outcome(heawood_to_tait, *args)
+                        assert got == _outcome(reference_heawood_to_tait, *args)
+                        if isinstance(got, TaitColoring):
+                            colorings.append(got)
+            # Proper colorings, each with one edge recolored, and random ones.
+            for coloring in rng.sample(colorings, min(len(colorings), 6)):
+                colors = list(coloring.colors)
+                colors[rng.randrange(n_edges)] = rng.randrange(3)
+                colorings.append(TaitColoring(tuple(colors)))
+            colorings += [
+                TaitColoring(tuple(rng.randrange(3) for _ in range(n_edges))) for _ in range(10)
+            ]
+            for coloring in colorings:
+                got = _outcome(tait_to_heawood, g, coloring)
+                assert got == _outcome(reference_tait_to_heawood, g, coloring)
+
+    def test_input_errors_match_the_reference(self):
+        g = CL3_PAPER
+        vec = HeawoodVector(GOLDEN_CL3_VECTORS[0])
+        for args in [
+            (g, HeawoodVector((1,) * 5), (0, 1), 0),
+            (g, vec, (0, 1), 3),
+            (g, vec, (0, 4), 0),
+            (g, vec, (9, 1), 1),
+            (DUMBBELL, HeawoodVector((1,) * 10), (0, 2), 0),
+        ]:
+            assert _outcome(heawood_to_tait, *args) == _outcome(reference_heawood_to_tait, *args)
+        for coloring in [TaitColoring((0,) * 8), TaitColoring((0,) * 15)]:
+            for graph in (g, DUMBBELL):
+                got = _outcome(tait_to_heawood, graph, coloring)
+                assert got == _outcome(reference_tait_to_heawood, graph, coloring)
+
+    def test_plan_built_once_per_graph_and_seed(self):
+        g, _ = fresh_relabelling(circular_ladder(7), random.Random("plan once"))
+        vectors = enumerate_heawood_vectors(g)
+        seed_edges = edges(g)[:2]
+        before = spins._propagation_plan.cache_info()
+        for seed_edge in seed_edges:
+            for vec in vectors:
+                for color in (0, 1, 2):
+                    coloring = heawood_to_tait(g, vec, seed_edge, color)
+                    assert tait_to_heawood(g, coloring) == vec
+        after = spins._propagation_plan.cache_info()
+        calls = len(seed_edges) * len(vectors) * 3
+        assert len(vectors) > 1
+        assert after.misses - before.misses == len(seed_edges)
+        assert after.hits - before.hits == calls - len(seed_edges)
 
 
 class TestBipartiteVector:
