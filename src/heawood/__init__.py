@@ -7,138 +7,21 @@ solutions (Heawood vectors), converts them to and from explicit proper
 cross-checks every count against an independent brute-force oracle.
 """
 
-from .colorings import TaitColoring
-from .defining import (
-    FreeVariableSet,
-    VertexSet,
-    ZebraWitness,
-    combination_support,
-    free_variable_defining_set,
-    is_heawood_defining,
-    is_linear_defining,
-    minimal_defining_sets,
-    zebra_witness,
-)
-from .errors import (
-    ContractionError,
-    EnumerationLimitError,
-    FaceTraversalError,
-    GraphFormatError,
-    HeawoodError,
-    ImproperColoringError,
-    InvalidGraphError,
-    NotAHeawoodVectorError,
-    NotBipartiteError,
-    SubsetSearchLimitError,
-)
-from .families import (
-    catalog,
-    circular_ladder,
-    cln_formula,
-    count_zero_sum_sequences,
-    k4,
-    mobius_formula,
-    mobius_ladder,
-    petersen,
-)
-from .graphs import (
-    Bipartition,
-    CubicGraph,
-    EmbeddedCubicGraph,
-    Face,
-    ValidationReport,
-    as_cubic,
-    edges,
-    format_graph,
-    incident_edges_ccw,
-    is_bipartite,
-    load_cubic,
-    load_graph,
-    parse_cubic,
-    parse_graph,
-    relabel,
-    trace_faces,
-    validate,
-)
-from .oracle import (
-    bipartite_tait_construct,
-    count_tait_oracle,
-    enumerate_tait_oracle,
-    is_proper_coloring,
-)
-from .spins import (
-    HeawoodSystem,
-    HeawoodVector,
-    bipartite_heawood_vector,
-    build_main_sle,
-    contract_triangle,
-    count_tait_colorings_heawood,
-    enumerate_heawood_vectors,
-    heawood_to_tait,
-    sle_rank,
-    tait_to_heawood,
-)
+from . import colorings, defining, errors, families, graphs, oracle, spins
+from .colorings import *  # noqa: F403
+from .defining import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .families import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .spins import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# The submodules' public names, less the type aliases for edges and darts.
 __all__ = [
-    "TaitColoring",
-    "FreeVariableSet",
-    "VertexSet",
-    "ZebraWitness",
-    "combination_support",
-    "free_variable_defining_set",
-    "is_heawood_defining",
-    "is_linear_defining",
-    "minimal_defining_sets",
-    "zebra_witness",
-    "ContractionError",
-    "EnumerationLimitError",
-    "FaceTraversalError",
-    "GraphFormatError",
-    "HeawoodError",
-    "ImproperColoringError",
-    "InvalidGraphError",
-    "NotAHeawoodVectorError",
-    "NotBipartiteError",
-    "SubsetSearchLimitError",
-    "catalog",
-    "circular_ladder",
-    "cln_formula",
-    "count_zero_sum_sequences",
-    "k4",
-    "mobius_formula",
-    "mobius_ladder",
-    "petersen",
-    "Bipartition",
-    "CubicGraph",
-    "EmbeddedCubicGraph",
-    "Face",
-    "ValidationReport",
-    "as_cubic",
-    "edges",
-    "format_graph",
-    "incident_edges_ccw",
-    "is_bipartite",
-    "load_cubic",
-    "load_graph",
-    "parse_cubic",
-    "parse_graph",
-    "relabel",
-    "trace_faces",
-    "validate",
-    "bipartite_tait_construct",
-    "count_tait_oracle",
-    "enumerate_tait_oracle",
-    "is_proper_coloring",
-    "HeawoodSystem",
-    "HeawoodVector",
-    "bipartite_heawood_vector",
-    "build_main_sle",
-    "contract_triangle",
-    "count_tait_colorings_heawood",
-    "enumerate_heawood_vectors",
-    "heawood_to_tait",
-    "sle_rank",
-    "tait_to_heawood",
+    name
+    for module in (colorings, defining, errors, families, graphs, oracle, spins)
+    for name in module.__all__
+    if name not in ("Edge", "Dart")
 ]

@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "HeawoodError",
+    "GraphFormatError",
+    "InvalidGraphError",
+    "FaceTraversalError",
+    "NotBipartiteError",
+    "NotAHeawoodVectorError",
+    "ImproperColoringError",
+    "ContractionError",
+    "EnumerationLimitError",
+    "SubsetSearchLimitError",
+]
+
 
 class HeawoodError(Exception):
     """Base class for all domain errors raised by this package."""

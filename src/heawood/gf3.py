@@ -2,14 +2,16 @@
 
 Matrices are dense numpy arrays with entries in {0, 1, 2}, where 2 doubles
 as -1.  Everything is integer arithmetic mod 3 -- no floating point -- and
-elimination sweeps rows top to bottom, columns left to right, so ranks,
+``rref`` returns the unique reduced row echelon form of its matrix, so ranks,
 pivot columns and kernel parametrizations are reproducible bit for bit.
 
 ``rref`` eliminates on bit-sliced rows (Boothby and Bradshaw): a row is two
 Python ints, bit j of ``ones`` set where entry j is 1 and bit j of ``twos``
-where it is 2.  Scaling by 2 swaps the planes, adding a row is a dozen
-whole-row bitwise operations, and only rows nonzero in the pivot column are
-touched; the sweep order, and so every output bit, is plain Gauss-Jordan's.
+where it is 2.  Scaling by 2 swaps the planes and adding a row is a dozen
+whole-row bitwise operations.  Rows are found by their leading column and,
+going back, by one bitset per pivot column, so only rows nonzero in the
+pivot column are touched; whatever the order of work, the output is the
+unique reduced form, the same bytes as plain Gauss-Jordan's.
 """
 
 from __future__ import annotations
@@ -83,40 +85,67 @@ def _unplanes(planes: list[int], n_cols: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=n_cols, bitorder="little")
 
 
+def _subtract(o: int, t: int, a: int, b: int, zero_p: int, bit: int) -> tuple[int, int]:
+    """Row (o, t) less its entry at ``bit`` times the pivot row (a, b), whose entry there is 1.
+
+    ``zero_p`` is ``~(a | b)``.  Subtracting the pivot row adds it twice where
+    the row's entry is 1 (its planes swapped) and once where it is 2.
+    Entrywise, a sum is 1 from 1+0, 0+1 or 2+2 and 2 from 2+0, 0+2 or 1+1.
+    """
+    zero_x = ~(o | t)
+    y1, y2 = (b, a) if o & bit else (a, b)
+    return (o & zero_p) | (y1 & zero_x) | (t & y2), (t & zero_p) | (y2 & zero_x) | (o & y1)
+
+
 def rref(matrix) -> RrefResult:
-    """Reduced row echelon form via Gauss-Jordan elimination mod 3."""
+    """The reduced row echelon form mod 3 and its pivot columns, both unique for the matrix.
+
+    The forward pass keeps each nonzero row in a bucket keyed by its lowest
+    nonzero column.  A column's first bucketed row becomes its pivot,
+    scaled to lead with 1, and is subtracted from the rest of that bucket,
+    each result moving to the bucket of its new lowest column (or dropping
+    out when zero).  Clearing a pivot from the rows above it changes no
+    row at an earlier pivot column, so the back pass reads once, from the
+    echelon form, which rows each pivot clears, and visits only those.
+    """
     mat = as_gf3(matrix)
     n_rows, n_cols = mat.shape
-    ones, twos = _planes(mat == 1), _planes(mat == 2)
-    nonzero = [o | t for o, t in zip(ones, twos)]
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(n_cols)]
+    for o, t in zip(_planes(mat == 1), _planes(mat == 2)):
+        if z := o | t:
+            buckets[(z & -z).bit_length() - 1].append((o, t))
+    ones: list[int] = []
+    twos: list[int] = []
     pivots: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        if row == n_rows:
-            break
-        bit = 1 << col
-        hits = [r for r, z in enumerate(nonzero) if z & bit]
-        pivot = next((r for r in hits if r >= row), None)
-        if pivot is None:
+    for col, bucket in enumerate(buckets):
+        if not bucket:
             continue
-        for planes in (ones, twos, nonzero):
-            planes[row], planes[pivot] = planes[pivot], planes[row]
-        if twos[row] & bit:
-            ones[row], twos[row] = twos[row], ones[row]
-        a, b, zero_p = ones[row], twos[row], ~nonzero[row]
-        hits.remove(pivot)
-        for r in hits:
-            o, t, zero_x = ones[r], twos[r], ~nonzero[r]
-            # Subtracting the pivot row adds it twice where the entry is 1
-            # (its planes swapped) and once where the entry is 2.  Entrywise,
-            # a sum is 1 from 1+0, 0+1 or 2+2 and 2 from 2+0, 0+2 or 1+1.
-            y1, y2 = (b, a) if o & bit else (a, b)
-            ones[r] = (o & zero_p) | (y1 & zero_x) | (t & y2)
-            twos[r] = (t & zero_p) | (y2 & zero_x) | (o & y1)
-            nonzero[r] = ones[r] | twos[r]
+        bit = 1 << col
+        a, b = bucket[0]
+        if b & bit:
+            a, b = b, a
+        zero_p = ~(a | b)
+        for o, t in bucket[1:]:
+            o, t = _subtract(o, t, a, b, zero_p, bit)
+            if z := o | t:
+                buckets[(z & -z).bit_length() - 1].append((o, t))
+        bucket.clear()  # spent rows go, so peak memory stays that of the output
+        ones.append(a)
+        twos.append(b)
         pivots.append(col)
-        row += 1
-    reduced = _unplanes(ones, n_cols) + 2 * _unplanes(twos, n_cols)
+    rank = len(pivots)
+    if rank:
+        above = _planes(_unplanes([o | t for o, t in zip(ones, twos)], n_cols)[:, pivots].T)
+        for k in range(rank - 1, 0, -1):
+            bit = 1 << pivots[k]
+            a, b, zero_p = ones[k], twos[k], ~(ones[k] | twos[k])
+            hits = above[k] & ~(1 << k)
+            while hits:
+                r = (hits & -hits).bit_length() - 1
+                hits &= hits - 1
+                ones[r], twos[r] = _subtract(ones[r], twos[r], a, b, zero_p, bit)
+    zeros = [0] * (n_rows - rank)
+    reduced = _unplanes(ones + zeros, n_cols) + 2 * _unplanes(twos + zeros, n_cols)
     return RrefResult(rref=reduced, pivot_cols=tuple(pivots))
 
 

@@ -1,8 +1,8 @@
 """Cubic graphs as combinatorial embeddings (rotation systems).
 
 An embedded graph stores one counterclockwise-ordered neighbor triple per
-vertex and nothing else; faces are traced on demand, so the rotation
-system is the single source of truth.
+vertex and nothing else; faces are traced on demand, once per graph value
+while it stays cached, so the rotation system is the single source of truth.
 
 Face tracing rule: after arriving at vertex ``w`` along the dart
 ``u -> w``, the walk leaves along ``w -> x`` where ``x`` is the neighbor
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -57,6 +58,11 @@ __all__ = [
 
 Edge = tuple[int, int]
 Dart = tuple[int, int]
+
+# Graphs whose faces (here) and validation, main system, conversion tables,
+# propagation plans and Heawood vectors (in ``spins``) stay cached; an op
+# reuses only its own graph, so a few suffice.
+_CACHED_GRAPHS = 8
 
 
 @dataclass(frozen=True)
@@ -159,8 +165,12 @@ def _next_dart(rotations: Sequence[Sequence[int]], dart: Dart) -> Dart:
     return (w, triple[(k + 1) % len(triple)])
 
 
+@lru_cache(maxsize=_CACHED_GRAPHS)
 def trace_faces(g: EmbeddedCubicGraph) -> tuple[Face, ...]:
-    """All face cycles of the embedding, ids in deterministic discovery order."""
+    """All face cycles of the embedding, ids in deterministic discovery order.
+
+    Cached per graph; the faces are frozen, so callers share one trace.
+    """
     rotations = g.rotations
     n_darts = sum(len(t) for t in rotations)
     visited: set[Dart] = set()

@@ -47,6 +47,7 @@ from .errors import (
     NotBipartiteError,
 )
 from .graphs import (
+    _CACHED_GRAPHS,
     Bipartition,
     Edge,
     EmbeddedCubicGraph,
@@ -70,10 +71,6 @@ __all__ = [
     "bipartite_heawood_vector",
     "contract_triangle",
 ]
-
-# Graphs whose validation, main system, conversion tables, propagation plans
-# and Heawood vectors stay cached; an op reuses only its own graph, so a few suffice.
-_CACHED_GRAPHS = 8
 
 # Maps values equal to a spin (2.0, numpy ints, True) to the int; 1.5 or "1" miss.
 _SPINS = {1: 1, 2: 2}

@@ -58,8 +58,10 @@ def matvec(matrix, vector) -> np.ndarray:
 def reference_rref(matrix) -> tuple[np.ndarray, tuple[int, ...]]:
     """Dense Gauss-Jordan mod 3, one whole-matrix update per pivot.
 
-    The same sweep order as ``gf3.rref`` (rows top to bottom, columns left
-    to right) in plain numpy, kept as an independent reference for it.
+    Sweeps rows top to bottom and columns left to right in plain numpy.  The
+    reduced form and its pivot columns are unique for the matrix, so
+    ``gf3.rref`` must return the same bytes by any route; this is kept as an
+    independent reference for it.
     """
     mat = gf3.as_gf3(matrix).copy()
     n_rows, n_cols = mat.shape
@@ -95,6 +97,23 @@ def reference_nullspace(matrix) -> list[np.ndarray]:
             vec[pc] = (3 - reduced[r, free]) % 3
         basis.append(vec)
     return basis
+
+
+def shared_lead_rows(rng, n_rows: int, n_cols: int) -> np.ndarray:
+    """Combinations of a few base rows, so that many rows share a leading column.
+
+    The base rows start after a run of zeros; a quarter of the rows are
+    zeroed and another quarter copy or double earlier rows, then all are
+    shuffled.
+    """
+    base = rng.integers(0, 3, size=(int(rng.integers(1, 5)), n_cols))
+    base[:, : int(rng.integers(0, n_cols // 2 + 1))] = 0
+    rows = (rng.integers(0, 3, size=(n_rows, len(base))) @ base) % 3
+    quarter = n_rows // 4
+    rows[:quarter] = 0
+    rows[quarter : 2 * quarter] = (rows[-quarter:] * rng.integers(1, 3, size=(quarter, 1))) % 3
+    rng.shuffle(rows)
+    return rows
 
 
 def assert_same_rref(matrix) -> None:
@@ -199,6 +218,11 @@ class TestRrefAgainstReference:
             cases += [sparse, repeated, np.zeros(shape, dtype=int), np.full(shape, 2)]
             for mat in cases:
                 assert_same_rref(mat)
+        # Larger tall and wide matrices whose rows crowd into few leading columns.
+        for _ in range(3):
+            rows = int(rng.integers(12, 61))
+            assert_same_rref(shared_lead_rows(rng, rows, int(rng.integers(1, rows))))
+            assert_same_rref(shared_lead_rows(rng, rows, int(rng.integers(rows + 1, 2 * rows))))
 
     def test_list_and_large_int_inputs(self):
         rng = np.random.default_rng(11)
@@ -224,7 +248,8 @@ class TestRrefAgainstReference:
         for v in GENERATED_SIZES:
             matrix = build_main_sle(random_planar_cubic(v, rng)).matrix
             assert_same_rref(matrix)
-            for size in (v // 2 - 2, v // 2 + 1):
+            # The workload's zebra sizes n - 2, n - 1 and n, and n + 1.
+            for size in (v // 2 - 2, v // 2 - 1, v // 2, v // 2 + 1):
                 outside = sorted(set(range(v)) - set(rng.sample(range(v), size)))
                 # The left kernel of the outside columns, as zebra_witness asks for it.
                 assert_same_rref(matrix[:, outside].T)

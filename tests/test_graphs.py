@@ -144,6 +144,14 @@ class TestTraceFaces:
         with pytest.raises(FaceTraversalError):
             trace_faces(g)
 
+    def test_traversal_error_raised_on_every_call(self):
+        # Faces are cached per graph; a failed trace is not, so it fails each time.
+        g = EmbeddedCubicGraph(((1, 2, 3), (2, 0, 3), (3, 0, 1), (1, 0, 4)))
+        for _ in range(3):
+            with pytest.raises(FaceTraversalError, match="unknown neighbor 4"):
+                trace_faces(g)
+            assert "vertex 3 lists unknown neighbor 4" in validate(g).problems
+
     @given(st.permutations(range(6)))
     def test_relabeling_equivariance(self, perm):
         g = relabel(CL3_PAPER, perm)

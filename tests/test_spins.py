@@ -35,6 +35,7 @@ from heawood import (
     tait_to_heawood,
     trace_faces,
     validate,
+    zebra_witness,
 )
 from heawood import gf3, spins
 from perfbench.graphgen import fresh_relabelling, random_planar_cubic
@@ -144,6 +145,20 @@ class TestSharedReduction:
         assert len(minimal_defining_sets(g, mode="linear", max_size=5)) == 0
         assert reduced == [True]
         assert build_main_sle(g).reduced is system.reduced
+
+    def test_faces_traced_once_per_graph(self):
+        # A relabelled draw no other test builds, so its faces are not cached yet.
+        g, _ = fresh_relabelling(random_planar_cubic(30, random.Random("trace once")),
+                                 random.Random("trace once"))
+        before = trace_faces.cache_info()
+        report = validate(g)
+        assert report.ok and report.n_faces == 17
+        assert sle_rank(g) in (15, 16)
+        free = free_variable_defining_set(g)
+        assert zebra_witness(g, free.members | {min(set(range(30)) - free.members)}) is not None
+        assert count_tait_colorings_heawood(g) > 0
+        assert trace_faces(g) is trace_faces(g)
+        assert trace_faces.cache_info().misses - before.misses == 1
 
     def test_reduction_is_read_only(self):
         reduced = build_main_sle(circular_ladder(5)).reduced
