@@ -1,8 +1,9 @@
 """Cubic graphs as combinatorial embeddings (rotation systems).
 
 An embedded graph stores one counterclockwise-ordered neighbor triple per
-vertex and nothing else; faces are traced on demand, once per graph value
-while it stays cached, so the rotation system is the single source of truth.
+vertex; faces are traced on demand, once per graph object, and kept on that
+object for its lifetime (never shared between equal objects), so the
+rotation system is the single source of truth.
 
 Face tracing rule: after arriving at vertex ``w`` along the dart
 ``u -> w``, the walk leaves along ``w -> x`` where ``x`` is the neighbor
@@ -27,8 +28,8 @@ gives the neighbor triple of each vertex in counterclockwise order, with
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import wraps
 from pathlib import Path
 from typing import Sequence
 
@@ -59,18 +60,13 @@ __all__ = [
 Edge = tuple[int, int]
 Dart = tuple[int, int]
 
-# Graphs whose faces (here) and validation, main system, conversion tables,
-# propagation plans and Heawood vectors (in ``spins``) stay cached; an op
-# reuses only its own graph, so a few suffice.
-_CACHED_GRAPHS = 8
-
-
 @dataclass(frozen=True)
 class EmbeddedCubicGraph:
     """A cubic graph plus, per vertex, its neighbors in counterclockwise order."""
 
     rotations: tuple[tuple[int, ...], ...]
     outer_face_hint: tuple[int, ...] | None = None
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -165,11 +161,27 @@ def _next_dart(rotations: Sequence[Sequence[int]], dart: Dart) -> Dart:
     return (w, triple[(k + 1) % len(triple)])
 
 
-@lru_cache(maxsize=_CACHED_GRAPHS)
+def _per_graph(fn):
+    """Compute ``fn(g, *args)`` once per graph object and keep it in ``g._derived``.
+
+    A raised exception is not kept, so an invalid graph raises on every call.
+    """
+
+    @wraps(fn)
+    def once(g: EmbeddedCubicGraph, *args):
+        key = (once, *args)  # not ``fn``: a module-level name, so a used graph pickles
+        if key not in g._derived:
+            g._derived[key] = fn(g, *args)
+        return g._derived[key]
+
+    return once
+
+
+@_per_graph
 def trace_faces(g: EmbeddedCubicGraph) -> tuple[Face, ...]:
     """All face cycles of the embedding, ids in deterministic discovery order.
 
-    Cached per graph; the faces are frozen, so callers share one trace.
+    Traced once per graph; the faces are frozen, so callers share one trace.
     """
     rotations = g.rotations
     n_darts = sum(len(t) for t in rotations)

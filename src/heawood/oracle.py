@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 from .colorings import TaitColoring
 from .errors import EnumerationLimitError, InvalidGraphError, NotBipartiteError
-from .graphs import Bipartition, CubicGraph, Edge, EmbeddedCubicGraph, edges, is_bipartite
+from .graphs import Bipartition, Edge, _neighbor_triples, edges, is_bipartite
 
 __all__ = [
     "count_tait_oracle",
@@ -22,14 +22,6 @@ __all__ = [
     "bipartite_tait_construct",
     "is_proper_coloring",
 ]
-
-
-def _adjacency_of(g) -> tuple[tuple[int, ...], ...]:
-    if isinstance(g, EmbeddedCubicGraph):
-        return g.rotations
-    if isinstance(g, CubicGraph):
-        return g.adjacency
-    raise TypeError(f"expected a cubic graph, got {type(g).__name__}")
 
 
 def _check_cubic(adjacency: Sequence[Sequence[int]]) -> None:
@@ -70,43 +62,46 @@ def _bfs_edge_order(adjacency: Sequence[Sequence[int]]) -> list[Edge]:
     return order
 
 
+# The color bits 1 << color an edge may take when the bits in t are used at its ends.
+_FREE_BITS = tuple(tuple(b for b in (1, 2, 4) if not t & b) for t in range(8))
+
+
 def _colorings(adjacency: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
-    """Yield color tuples aligned with the BFS edge order, lexicographically."""
+    """Yield color tuples aligned with the BFS edge order, lexicographically.
+
+    Backtracks on an explicit stack, so no edge count meets the recursion
+    limit: ``tries[i]`` yields the color bits left for edge i, given those before it.
+    """
     order = _bfs_edge_order(adjacency)
-    n_edges = len(order)
     used = [0] * len(adjacency)  # bitmask of colors present at each vertex
-    assignment = [0] * n_edges
-
-    def extend(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n_edges:
-            yield tuple(assignment)
-            return
+    bits = [0] * len(order)  # each edge's color bit, 0 while it has none
+    tries = [iter((1, 2, 4))]
+    while tries:
+        i = len(tries) - 1
         u, v = order[i]
-        taken = used[u] | used[v]
-        for color in (0, 1, 2):
-            bit = 1 << color
-            if taken & bit:
-                continue
-            assignment[i] = color
-            used[u] |= bit
-            used[v] |= bit
-            yield from extend(i + 1)
-            used[u] &= ~bit
-            used[v] &= ~bit
-
-    yield from extend(0)
+        bit = next(tries[i], 0)  # edge i gives back its color bit for the next one left
+        used[u] ^= bits[i] ^ bit
+        used[v] ^= bits[i] ^ bit
+        bits[i] = bit
+        if not bit:
+            tries.pop()
+        elif i + 1 == len(order):
+            yield tuple(b >> 1 for b in bits)  # bits 1, 2, 4 are colors 0, 1, 2
+        else:
+            u, v = order[i + 1]
+            tries.append(iter(_FREE_BITS[used[u] | used[v]]))
 
 
 def count_tait_oracle(g) -> int:
     """Exact number of proper 3-edge-colorings, by exhaustive backtracking."""
-    adjacency = _adjacency_of(g)
+    adjacency = _neighbor_triples(g)
     _check_cubic(adjacency)
     return sum(1 for _ in _colorings(adjacency))
 
 
 def enumerate_tait_oracle(g, limit: int) -> tuple[TaitColoring, ...]:
     """All proper colorings in canonical edge order, sorted; refuses past ``limit``."""
-    adjacency = _adjacency_of(g)
+    adjacency = _neighbor_triples(g)
     _check_cubic(adjacency)
     edge_list = edges(g)
     slot = {e: i for i, e in enumerate(edge_list)}
@@ -124,7 +119,7 @@ def enumerate_tait_oracle(g, limit: int) -> tuple[TaitColoring, ...]:
 
 def is_proper_coloring(g, coloring: TaitColoring) -> bool:
     """True when the three edges at every vertex carry three distinct colors."""
-    adjacency = _adjacency_of(g)
+    adjacency = _neighbor_triples(g)
     edge_list = edges(g)
     if len(coloring.colors) != len(edge_list):
         return False
@@ -171,7 +166,7 @@ def bipartite_tait_construct(g, parts: Bipartition | None = None) -> TaitColorin
     Removing a perfect matching from a cubic graph leaves a 2-factor; in a
     bipartite graph its cycles are even, so the alternation closes up.
     """
-    adjacency = _adjacency_of(g)
+    adjacency = _neighbor_triples(g)
     _check_cubic(adjacency)
     if parts is None:
         parts = is_bipartite(g)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .errors import (
     NotBipartiteError,
 )
 from .graphs import (
-    _CACHED_GRAPHS,
+    _per_graph,
     Bipartition,
     Edge,
     EmbeddedCubicGraph,
@@ -145,11 +145,13 @@ class HeawoodVector:
         return tuple(1 if s == 1 else -1 for s in self.spins)
 
 
-@lru_cache(maxsize=_CACHED_GRAPHS)
-def _require_valid(g: EmbeddedCubicGraph) -> None:
+@_per_graph
+def _valid_faces(g: EmbeddedCubicGraph) -> tuple[Face, ...]:
+    """The faces of ``g``, once ``validate`` finds no problem with it."""
     report = validate(g)
     if not report.ok:
         raise InvalidGraphError("; ".join(report.problems))
+    return trace_faces(g)
 
 
 def _default_dropped_face(g: EmbeddedCubicGraph, faces: tuple[Face, ...]) -> int:
@@ -174,19 +176,12 @@ def build_main_sle(
     g: EmbeddedCubicGraph, drop_face_id: int | None = None
 ) -> HeawoodSystem:
     """Build the main system: one row per kept face, one column per vertex."""
-    if drop_face_id is None:
-        return _cached_main_sle(g)
-    return _build_main_sle(g, drop_face_id)
+    return _main_sle(g, drop_face_id)
 
 
-@lru_cache(maxsize=_CACHED_GRAPHS)
-def _cached_main_sle(g: EmbeddedCubicGraph) -> HeawoodSystem:
-    return _build_main_sle(g, None)
-
-
-def _build_main_sle(g: EmbeddedCubicGraph, drop_face_id: int | None) -> HeawoodSystem:
-    _require_valid(g)
-    faces = trace_faces(g)
+@_per_graph
+def _main_sle(g: EmbeddedCubicGraph, drop_face_id: int | None) -> HeawoodSystem:
+    faces = _valid_faces(g)
     if drop_face_id is None:
         drop_face_id = _default_dropped_face(g, faces)
     elif not 0 <= drop_face_id < len(faces):
@@ -211,7 +206,7 @@ def sle_rank(g: EmbeddedCubicGraph, drop_face_id: int | None = None) -> int:
     return rank
 
 
-@lru_cache(maxsize=_CACHED_GRAPHS)
+@_per_graph
 def enumerate_heawood_vectors(g: EmbeddedCubicGraph) -> tuple[HeawoodVector, ...]:
     """All Heawood vectors, sorted lexicographically by spins (1 before 2).
 
@@ -258,8 +253,7 @@ def count_tait_colorings_heawood(g: EmbeddedCubicGraph) -> int:
     of colorings.  Raises ``EnumerationLimitError`` before building a table
     wider than ``MAX_ELIMINATION_WIDTH`` faces.
     """
-    _require_valid(g)
-    faces = trace_faces(g)
+    faces = _valid_faces(g)
     # Factors as (faces, table), keyed by vertex or eliminated face; each face
     # lists the keys of the factors that hold it.
     factors: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
@@ -313,10 +307,10 @@ def count_tait_colorings_heawood(g: EmbeddedCubicGraph) -> int:
     return 3 * vectors
 
 
-@lru_cache(maxsize=_CACHED_GRAPHS)
+@_per_graph
 def _conversion_tables(g: EmbeddedCubicGraph):
     """Validate ``g`` once, then keep its edges, their ids and each vertex's edge ids ccw."""
-    _require_valid(g)
+    _valid_faces(g)
     edge_list = edges(g)
     edge_index = {e: i for i, e in enumerate(edge_list)}
     incident = tuple(
@@ -325,7 +319,7 @@ def _conversion_tables(g: EmbeddedCubicGraph):
     return edge_list, edge_index, incident
 
 
-@lru_cache(maxsize=_CACHED_GRAPHS)
+@_per_graph
 def _propagation_plan(g: EmbeddedCubicGraph, seed: int):
     """Breadth-first color propagation from edge id ``seed``, whose order no spin changes.
 
@@ -357,7 +351,7 @@ def heawood_to_tait(
 ) -> TaitColoring:
     """Propagate edge colors from one seeded edge using the vertex spin steps.
 
-    Replays the seed's cached propagation plan: its steps color every edge;
+    Replays the seed's stored propagation plan: its steps color every edge;
     its checks all hold exactly when ``vector`` meets every face equation,
     and the first broken one raises ``NotAHeawoodVectorError`` naming its edge.
     """
@@ -400,7 +394,7 @@ def bipartite_heawood_vector(
     g: EmbeddedCubicGraph, parts: Bipartition | None = None
 ) -> HeawoodVector:
     """Spin +1 on one part, -1 on the other; valid because every face alternates parts."""
-    _require_valid(g)
+    _valid_faces(g)
     if parts is None:
         parts = is_bipartite(g)
     if parts is None:
@@ -418,8 +412,7 @@ def contract_triangle(g: EmbeddedCubicGraph, face_id: int) -> EmbeddedCubicGraph
     of the input whose triangle spins all equal s correspond to vectors of
     the result whose new-vertex spin is -s.
     """
-    _require_valid(g)
-    faces = trace_faces(g)
+    faces = _valid_faces(g)
     if not 0 <= face_id < len(faces):
         raise ValueError(f"face id {face_id} out of range for {len(faces)} faces")
     cycle = faces[face_id].vertex_cycle

@@ -167,6 +167,14 @@ class TestTaitList:
         assert main(["tait", "list", cl3_file, "--limit", "2"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_limit_refusal_on_a_deep_graph(self, tmp_path, capsys):
+        path = tmp_path / "cl400.graph"
+        path.write_text(format_graph(heawood.circular_ladder(400)), encoding="utf-8")
+        assert main(["tait", "list", str(path), "--limit", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: more than 3 colorings exist\n"
+
 
 class TestDefining:
     def test_linear_mode(self, cl3_file, capsys):

@@ -145,7 +145,7 @@ class TestTraceFaces:
             trace_faces(g)
 
     def test_traversal_error_raised_on_every_call(self):
-        # Faces are cached per graph; a failed trace is not, so it fails each time.
+        # Faces are kept per graph; a failed trace is not, so it fails each time.
         g = EmbeddedCubicGraph(((1, 2, 3), (2, 0, 3), (3, 0, 1), (1, 0, 4)))
         for _ in range(3):
             with pytest.raises(FaceTraversalError, match="unknown neighbor 4"):

@@ -21,7 +21,8 @@ from heawood import (
     relabel,
 )
 
-from heawood.oracle import _adjacency_of, _perfect_matching
+from heawood.graphs import _neighbor_triples
+from heawood.oracle import _perfect_matching
 from perfbench.graphgen import fresh_relabelling, random_planar_cubic
 
 from conftest import CL3_PAPER, reference_perfect_matching
@@ -96,6 +97,11 @@ class TestEnumerate:
         with pytest.raises(EnumerationLimitError):
             enumerate_tait_oracle(CL3_PAPER, limit=5)
 
+    def test_deep_graph_reaches_the_limit_without_recursion(self):
+        # The recursive search went one call deeper per edge: 1200 edges here.
+        with pytest.raises(EnumerationLimitError, match="more than 3 colorings exist"):
+            enumerate_tait_oracle(circular_ladder(400), limit=3)
+
 
 class TestBipartiteConstruct:
     @pytest.mark.parametrize("n", [4, 6])
@@ -119,7 +125,7 @@ class TestBipartiteConstruct:
 
     @pytest.mark.parametrize("g", _matching_graphs())
     def test_matching_equals_the_recursive_search(self, g):
-        adjacency = _adjacency_of(g)
+        adjacency = _neighbor_triples(g)
         partner = _perfect_matching(adjacency)
         pairs = [(u, w) for u, w in enumerate(partner) if u < w]
         assert pairs == reference_perfect_matching(adjacency)

@@ -1,6 +1,10 @@
 """The main face system, Heawood vectors, and the coloring correspondence."""
 
+import gc
+import pickle
 import random
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -56,6 +60,34 @@ from conftest import (
 )
 
 GOLDEN_CL3_VECTORS = ((1, 1, 1, 2, 2, 2), (2, 2, 2, 1, 1, 1))
+
+
+class _CountingStore(dict):
+    """A graph's derived-data store counting, per derived function, its entries.
+
+    ``computed`` counts the entries stored; ``read`` counts the calls, since
+    every call of a per-graph function reads its entry once.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.computed, self.read = Counter(), Counter()
+
+    def __setitem__(self, key, value):
+        self.computed[key[0].__name__] += 1
+        super().__setitem__(key, value)
+
+    def __getitem__(self, key):
+        self.read[key[0].__name__] += 1
+        return super().__getitem__(key)
+
+
+def _counting_store(g):
+    """Give the fresh graph ``g`` a counting store before anything is derived from it."""
+    assert not g._derived
+    store = _CountingStore()
+    object.__setattr__(g, "_derived", store)
+    return store
 
 
 class TestBuildMainSle:
@@ -126,9 +158,45 @@ class TestRank:
             assert sle_rank(g, drop_face_id=face.face_id) == baseline
 
 
+class TestPerGraphStore:
+    def test_used_graph_is_freed_once_dropped(self):
+        g, _ = fresh_relabelling(circular_ladder(5), random.Random("freed"))
+        assert validate(g).ok
+        assert len(trace_faces(g)) == 7
+        assert build_main_sle(g).dropped_face_id != 0
+        assert build_main_sle(g, drop_face_id=0).dropped_face_id == 0
+        vectors = enumerate_heawood_vectors(g)
+        seed_edge = edges(g)[0]
+        for vec in vectors:
+            assert tait_to_heawood(g, heawood_to_tait(g, vec, seed_edge, 1)) == vec
+        assert count_tait_colorings_heawood(g) == 3 * len(vectors) == cln_formula(5)
+        assert g._derived
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+
+    def test_store_is_not_part_of_the_value(self):
+        g, other = circular_ladder(4), circular_ladder(4)
+        shown = repr(g)
+        enumerate_heawood_vectors(g)
+        assert g._derived and not other._derived
+        assert g == other and hash(g) == hash(other)
+        assert repr(g) == repr(other) == shown
+        fields = f"rotations={g.rotations!r}, outer_face_hint={g.outer_face_hint!r}"
+        assert shown == f"EmbeddedCubicGraph({fields})"
+
+    def test_used_graph_pickles(self):
+        g = circular_ladder(5)
+        vectors = enumerate_heawood_vectors(g)
+        heawood_to_tait(g, vectors[0], edges(g)[0], 0)
+        restored = pickle.loads(pickle.dumps(g))
+        assert restored == g and enumerate_heawood_vectors(restored) == vectors
+
+
 class TestSharedReduction:
     def test_each_system_is_reduced_once(self, monkeypatch):
-        # A relabelling no other test builds, so no cache holds its system yet.
+        # A fresh graph object, so nothing is derived from it yet.
         g, _ = fresh_relabelling(circular_ladder(7), random.Random("reduce once"))
         system = build_main_sle(g)
         reduced = []
@@ -147,10 +215,9 @@ class TestSharedReduction:
         assert build_main_sle(g).reduced is system.reduced
 
     def test_faces_traced_once_per_graph(self):
-        # A relabelled draw no other test builds, so its faces are not cached yet.
         g, _ = fresh_relabelling(random_planar_cubic(30, random.Random("trace once")),
                                  random.Random("trace once"))
-        before = trace_faces.cache_info()
+        store = _counting_store(g)
         report = validate(g)
         assert report.ok and report.n_faces == 17
         assert sle_rank(g) in (15, 16)
@@ -158,7 +225,7 @@ class TestSharedReduction:
         assert zebra_witness(g, free.members | {min(set(range(30)) - free.members)}) is not None
         assert count_tait_colorings_heawood(g) > 0
         assert trace_faces(g) is trace_faces(g)
-        assert trace_faces.cache_info().misses - before.misses == 1
+        assert store.computed["trace_faces"] == 1
 
     def test_reduction_is_read_only(self):
         reduced = build_main_sle(circular_ladder(5)).reduced
@@ -607,19 +674,19 @@ class TestCompiledConversions:
 
     def test_plan_built_once_per_graph_and_seed(self):
         g, _ = fresh_relabelling(circular_ladder(7), random.Random("plan once"))
+        store = _counting_store(g)
         vectors = enumerate_heawood_vectors(g)
         seed_edges = edges(g)[:2]
-        before = spins._propagation_plan.cache_info()
         for seed_edge in seed_edges:
             for vec in vectors:
                 for color in (0, 1, 2):
                     coloring = heawood_to_tait(g, vec, seed_edge, color)
                     assert tait_to_heawood(g, coloring) == vec
-        after = spins._propagation_plan.cache_info()
         calls = len(seed_edges) * len(vectors) * 3
         assert len(vectors) > 1
-        assert after.misses - before.misses == len(seed_edges)
-        assert after.hits - before.hits == calls - len(seed_edges)
+        assert store.computed["_propagation_plan"] == len(seed_edges)
+        hits = store.read["_propagation_plan"] - store.computed["_propagation_plan"]
+        assert hits == calls - len(seed_edges)
 
 
 class TestBipartiteVector:
