@@ -47,8 +47,9 @@ for v in range(6):
     print(f"  {{{v}}}: heawood-defining={is_heawood_defining(prism, {v})}, "
           f"linear-defining={is_linear_defining(prism, {v})}")
 
-# Minimal defining sets: complements of column bases (linear mode) and one
-# table over all vertex masks (heawood mode); exponential, guarded to 16 vertices.
+# Minimal defining sets: one table over all vertex masks, marking where two
+# solutions agree (kernel zero sets in linear mode, pairs of Heawood vectors
+# in heawood mode); exponential, guarded to 16 vertices.
 print("\nminimal defining sets, heawood mode:",
       [sorted(s) for s in minimal_defining_sets(prism, mode='heawood')])
 print("minimal defining sets, linear mode:",

@@ -18,7 +18,6 @@ bipartite graphs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -44,9 +43,6 @@ __all__ = [
 VertexSet = frozenset[int]
 
 MAX_SUBSET_SEARCH_VERTICES = 16
-
-# Vertex masks per heawood-mode step: at most 2**8 vectors on 16 vertices keep it ~4 MB.
-_MASK_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -133,12 +129,14 @@ def minimal_defining_sets(
 ) -> tuple[frozenset[int], ...]:
     """All inclusion-minimal defining sets of size <= max_size.
 
-    Linear mode returns the complements of the column bases of the main
-    system, found by one batched elimination of every rank-sized column
-    block of its reduced form.  Heawood mode tabulates, for every vertex
-    mask, whether the Heawood vectors masked to it are distinct; a defining
-    mask is minimal when no mask one vertex smaller is defining.  Sets come
-    sorted by size, then by sorted members.  Refuses graphs above the
+    A set fails to define exactly when two distinct solutions agree on all
+    of it.  Each mode lists, per such pair, the mask of vertices where the
+    two agree: in linear mode the zero set of every nonzero kernel vector
+    of the main system, in heawood mode the agreement of every pair of
+    Heawood vectors.  One table marks those masks, and every mask below
+    one, as failing; a defining mask is minimal when no mask one vertex
+    smaller is defining.  Linear-mode sets all have size 2n - rank.  Sets
+    come sorted by size, then by sorted members.  Refuses graphs above the
     supported size instead of silently truncating.
     """
     if mode not in ("linear", "heawood"):
@@ -153,29 +151,25 @@ def minimal_defining_sets(
     if limit < 0:
         raise ValueError("max_size must be non-negative")
     if mode == "linear":
-        reduced = build_main_sle(g).reduced
-        rank = reduced.rank
-        if limit < n_vertices - rank:
+        kernel = build_main_sle(g).reduced.parametric()
+        free = len(kernel.free_cols)
+        if limit < free:
             return ()
-        bases = np.array(list(itertools.combinations(range(n_vertices), rank)), dtype=np.intp)
-        blocks = reduced.rref[:rank, bases].transpose(1, 0, 2)
-        everything = frozenset(range(n_vertices))
-        found = [everything.difference(b) for b in bases[gf3.nonsingular(blocks)].tolist()]
+        agree = kernel.substitute_batch(np.indices((3,) * free).reshape(free, -1).T[1:]) == 0
     else:
-        vectors = enumerate_heawood_vectors(g)
-        codes = [sum(1 << v for v, s in enumerate(vec.spins) if s == 2) for vec in vectors]
-        codes = np.array(codes, dtype=np.int32)
-        masks = np.arange(1 << n_vertices, dtype=np.int32)
-        defining = np.empty(masks.size, dtype=bool)
-        for start in range(0, masks.size, _MASK_CHUNK):
-            seen = np.sort(masks[start : start + _MASK_CHUNK, None] & codes, axis=1)
-            defining[start : start + _MASK_CHUNK] = (seen[:, 1:] != seen[:, :-1]).all(axis=1)
-        minimal = defining.copy()
-        for v in range(n_vertices):
-            # Masks with bit v set sit at [:, 1], the same masks without it at [:, 0].
-            minimal.reshape(-1, 2, 1 << v)[:, 1] &= ~defining.reshape(-1, 2, 1 << v)[:, 0]
-        found = [
-            frozenset(v for v in range(n_vertices) if mask >> v & 1)
-            for mask in np.flatnonzero(minimal).tolist()
-        ]
+        spins = np.array([vec.spins for vec in enumerate_heawood_vectors(g)], dtype=np.uint8)
+        first, second = np.triu_indices(len(spins), 1)
+        agree = spins[first] == spins[second]
+    fails = np.zeros(1 << n_vertices, dtype=bool)
+    fails[agree @ (1 << np.arange(n_vertices))] = True
+    for v in range(n_vertices):
+        # Masks with bit v set sit at [:, 1], the same masks without it at [:, 0].
+        fails.reshape(-1, 2, 1 << v)[:, 0] |= fails.reshape(-1, 2, 1 << v)[:, 1]
+    minimal = ~fails
+    for v in range(n_vertices):
+        minimal.reshape(-1, 2, 1 << v)[:, 1] &= fails.reshape(-1, 2, 1 << v)[:, 0]
+    found = [
+        frozenset(v for v in range(n_vertices) if mask >> v & 1)
+        for mask in np.flatnonzero(minimal).tolist()
+    ]
     return tuple(sorted((s for s in found if len(s) <= limit), key=lambda s: (len(s), sorted(s))))

@@ -26,7 +26,6 @@ __all__ = [
     "RrefResult",
     "rref",
     "column_submatrix_rank",
-    "nonsingular",
     "ParametricSolution",
     "solve_parametric",
     "row_combination",
@@ -159,26 +158,6 @@ def column_submatrix_rank(matrix, cols: Iterable[int]) -> int:
     if not selected:
         return 0
     return rref(mat[:, selected]).rank
-
-
-def nonsingular(blocks) -> np.ndarray:
-    """Which matrices of a ``(count, r, r)`` stack are invertible, eliminating all at once."""
-    mat = as_gf3(blocks, 3)
-    if mat.shape[1] != mat.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {mat.shape}")
-    count, size, _ = mat.shape
-    every = np.arange(count)
-    ok = np.ones(count, dtype=bool)
-    for k in range(size):
-        nonzero = mat[:, k:, k] != 0
-        ok &= nonzero.any(axis=1)
-        pivot = k + nonzero.argmax(axis=1)
-        mat[every, k], mat[every, pivot] = mat[every, pivot], mat[every, k]
-        # Nonzero elements are their own inverses; singular blocks just zero a row.
-        mat[:, k] = (mat[:, k] * mat[:, k, k, None]) % 3
-        factors = (3 - mat[:, k + 1 :, k]) % 3
-        mat[:, k + 1 :] = (mat[:, k + 1 :] + factors[:, :, None] * mat[:, None, k]) % 3
-    return ok
 
 
 @dataclass(frozen=True, eq=False)

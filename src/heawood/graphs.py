@@ -209,33 +209,17 @@ def trace_faces(g: EmbeddedCubicGraph) -> tuple[Face, ...]:
     return tuple(faces)
 
 
-def _is_connected(triples: Sequence[Sequence[int]]) -> bool:
+def _reach_and_cut(triples: Sequence[Sequence[int]]) -> tuple[bool, bool]:
+    """One lowpoint DFS from vertex 0 of a simple graph: whether it reaches
+    every vertex, and whether a vertex it reaches is a cut vertex."""
     n = len(triples)
-    if n == 0:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in triples[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == n
-
-
-def _has_cut_vertex(triples: Sequence[Sequence[int]]) -> bool:
-    """Lowpoint DFS articulation test; assumes a connected simple graph."""
-    n = len(triples)
-    if n <= 2:
-        return False
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
-    timer = 0
-    disc[0] = low[0] = timer
-    timer += 1
+    disc[0] = low[0] = 0
+    timer = 1
     root_children = 0
+    cut = False
     stack: list[list[int]] = [[0, 0]]
     while stack:
         v, slot = stack[-1]
@@ -256,9 +240,8 @@ def _has_cut_vertex(triples: Sequence[Sequence[int]]) -> bool:
             p = parent[v]
             if p != -1:
                 low[p] = min(low[p], low[v])
-                if p != 0 and low[v] >= disc[p]:
-                    return True
-    return root_children > 1
+                cut |= p != 0 and low[v] >= disc[p]
+    return timer == n, cut or root_children > 1
 
 
 def validate(g: EmbeddedCubicGraph) -> ValidationReport:
@@ -297,11 +280,12 @@ def validate(g: EmbeddedCubicGraph) -> ValidationReport:
     bipartite = None
     if symmetric:
         n_edges = 3 * n_vertices // 2
-        if not _is_connected(rotations):
+        connected, has_cut_vertex = _reach_and_cut(rotations)
+        if not connected:
             problems.append("graph is not connected")
         else:
             bipartite = is_bipartite(g) is not None
-            if _has_cut_vertex(rotations):
+            if has_cut_vertex:
                 problems.append("graph is not biconnected: it has a cut vertex")
         try:
             faces = trace_faces(g)

@@ -26,6 +26,8 @@ __all__ = [
 
 def _check_cubic(adjacency: Sequence[Sequence[int]]) -> None:
     n = len(adjacency)
+    if not n:
+        raise InvalidGraphError("graph has no vertices")
     for v, triple in enumerate(adjacency):
         if len(triple) != 3 or len(set(triple)) != 3 or v in triple:
             raise InvalidGraphError(f"vertex {v} is not simple cubic: neighbors {triple}")

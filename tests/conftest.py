@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
 from collections import deque
 from pathlib import Path
@@ -18,6 +19,7 @@ from heawood import (
     TaitColoring,
     build_main_sle,
     contract_triangle,
+    enumerate_heawood_vectors,
     gf3,
     trace_faces,
     validate,
@@ -126,6 +128,76 @@ def nullspace_basis(matrix) -> list[np.ndarray]:
     """Kernel basis, one vector per free column, in free-column order."""
     solution = gf3.solve_parametric(matrix)
     return list(solution.substitute_batch(np.eye(len(solution.free_cols), dtype=np.uint8)))
+
+
+def reference_nonsingular(blocks) -> np.ndarray:
+    """Which matrices of a ``(count, r, r)`` stack are invertible, eliminating all at once.
+
+    The former library test behind linear-mode minimal defining sets, kept
+    as the reference they are checked against.
+    """
+    mat = gf3.as_gf3(blocks, 3)
+    if mat.shape[1] != mat.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {mat.shape}")
+    count, size, _ = mat.shape
+    every = np.arange(count)
+    ok = np.ones(count, dtype=bool)
+    for k in range(size):
+        nonzero = mat[:, k:, k] != 0
+        ok &= nonzero.any(axis=1)
+        pivot = k + nonzero.argmax(axis=1)
+        mat[every, k], mat[every, pivot] = mat[every, pivot], mat[every, k]
+        # Nonzero elements are their own inverses; singular blocks just zero a row.
+        mat[:, k] = (mat[:, k] * mat[:, k, k, None]) % 3
+        factors = (3 - mat[:, k + 1 :, k]) % 3
+        mat[:, k + 1 :] = (mat[:, k + 1 :] + factors[:, :, None] * mat[:, None, k]) % 3
+    return ok
+
+
+# Vertex masks per heawood-mode step: at most 2**8 vectors on 16 vertices keep it ~4 MB.
+_MASK_CHUNK = 1 << 12
+
+
+def reference_minimal_defining_sets(g, mode="linear", max_size=None) -> tuple[frozenset[int], ...]:
+    """Minimal defining sets by column bases (linear) and sorted masked vectors (heawood).
+
+    The former library search, kept as the differential reference for the
+    agreement-mask table.  Linear mode takes the complements of the column
+    bases of the main system, found by one batched elimination of every
+    rank-sized column block of its reduced form.  Heawood mode tabulates,
+    for every vertex mask, whether the Heawood vectors masked to it are
+    distinct, sorting chunk by chunk.  Argument checks are left to the
+    library.
+    """
+    n_vertices = g.n_vertices
+    limit = n_vertices if max_size is None else int(max_size)
+    if mode == "linear":
+        reduced = build_main_sle(g).reduced
+        rank = reduced.rank
+        if limit < n_vertices - rank:
+            return ()
+        bases = np.array(list(itertools.combinations(range(n_vertices), rank)), dtype=np.intp)
+        blocks = reduced.rref[:rank, bases].transpose(1, 0, 2)
+        everything = frozenset(range(n_vertices))
+        found = [everything.difference(b) for b in bases[reference_nonsingular(blocks)].tolist()]
+    else:
+        vectors = enumerate_heawood_vectors(g)
+        codes = [sum(1 << v for v, s in enumerate(vec.spins) if s == 2) for vec in vectors]
+        codes = np.array(codes, dtype=np.int32)
+        masks = np.arange(1 << n_vertices, dtype=np.int32)
+        defining = np.empty(masks.size, dtype=bool)
+        for start in range(0, masks.size, _MASK_CHUNK):
+            seen = np.sort(masks[start : start + _MASK_CHUNK, None] & codes, axis=1)
+            defining[start : start + _MASK_CHUNK] = (seen[:, 1:] != seen[:, :-1]).all(axis=1)
+        minimal = defining.copy()
+        for v in range(n_vertices):
+            # Masks with bit v set sit at [:, 1], the same masks without it at [:, 0].
+            minimal.reshape(-1, 2, 1 << v)[:, 1] &= ~defining.reshape(-1, 2, 1 << v)[:, 0]
+        found = [
+            frozenset(v for v in range(n_vertices) if mask >> v & 1)
+            for mask in np.flatnonzero(minimal).tolist()
+        ]
+    return tuple(sorted((s for s in found if len(s) <= limit), key=lambda s: (len(s), sorted(s))))
 
 
 def _sign_patterns(k: int) -> np.ndarray:

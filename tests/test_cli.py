@@ -158,6 +158,19 @@ class TestHeawoodList:
         assert [1, 1, 1, -1, -1, -1] in payload["vectors"]
 
 
+class TestEmptyGraph:
+    @pytest.mark.parametrize(
+        "argv", [["tait", "list"], ["count", "--method", "oracle"], ["count"]], ids=" ".join
+    )
+    def test_one_error_line(self, argv, tmp_path, capsys):
+        path = tmp_path / "empty.graph"
+        path.write_text("vertices 0\n", encoding="utf-8")
+        assert main([*argv, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph has no vertices\n"
+
+
 class TestTaitList:
     def test_enumerates(self, cl3_file, capsys):
         assert main(["tait", "list", cl3_file]) == 0

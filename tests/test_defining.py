@@ -24,7 +24,14 @@ from heawood import (
 from heawood import gf3
 from perfbench.graphgen import fresh_relabelling, random_planar_cubic
 
-from conftest import CL3_PAPER, CL3_ZEBRA_PAIRS, kernel_scan, row_of_face, triangle_contractions
+from conftest import (
+    CL3_PAPER,
+    CL3_ZEBRA_PAIRS,
+    kernel_scan,
+    reference_minimal_defining_sets,
+    row_of_face,
+    triangle_contractions,
+)
 
 
 def all_subsets(n):
@@ -60,6 +67,15 @@ def _search_population():
     for n, copies in ((6, 8), (8, 8), (10, 8), (12, 6)):
         graphs += [(f"random_{n}_{i}", random_planar_cubic(n, rng)) for i in range(copies)]
     return [pytest.param(g, id=name) for name, g in graphs]
+
+
+def _reference_population():
+    # Past 12 vertices subset_search is too slow; the former engine is not.
+    graphs = [("cl_7", circular_ladder(7)), ("cl_8", circular_ladder(8))]
+    rng = random.Random("minimal-defining-sets past subset search")
+    for n in (14, 16):
+        graphs += [(f"random_{n}_{i}", random_planar_cubic(n, rng)) for i in range(4)]
+    return [pytest.param(name, g, id=name) for name, g in graphs]
 
 
 class TestCombinationSupport:
@@ -286,6 +302,18 @@ class TestMinimalDefiningSets:
                 assert minimal_defining_sets(g, mode, max_size) == expected, (mode, max_size)
                 moved = {frozenset(perm[v] for v in s) for s in expected}
                 assert set(minimal_defining_sets(relabelled, mode, max_size)) == moved
+
+    @pytest.mark.parametrize("name, g", _reference_population())
+    def test_matches_reference_engine(self, name, g):
+        k = g.n_vertices - sle_rank(g)
+        relabelled, perm = fresh_relabelling(g, random.Random(name))
+        for mode in ("linear", "heawood"):
+            for max_size in (None, 0, 1, k - 1, k):
+                expected = reference_minimal_defining_sets(g, mode, max_size)
+                assert minimal_defining_sets(g, mode, max_size) == expected, (mode, max_size)
+                moved = {frozenset(perm[v] for v in s) for s in expected}
+                assert set(minimal_defining_sets(relabelled, mode, max_size)) == moved
+        assert {len(s) for s in minimal_defining_sets(g, "linear")} == {k}
 
     def test_cl8_linear_mode_finds_3754_sets_of_size_8(self):
         found = minimal_defining_sets(circular_ladder(8), mode="linear")

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from heawood import (
+    EmbeddedCubicGraph,
     EnumerationLimitError,
     InvalidGraphError,
     NotBipartiteError,
@@ -68,6 +69,13 @@ class TestCount:
         bad[0] = (1, 1, 2)
         with pytest.raises(InvalidGraphError):
             count_tait_oracle(type(broken)(tuple(bad)))
+
+    @pytest.mark.parametrize(
+        "call", [count_tait_oracle, lambda g: enumerate_tait_oracle(g, 1), bipartite_tait_construct]
+    )
+    def test_empty_graph_rejected(self, call):
+        with pytest.raises(InvalidGraphError, match="^graph has no vertices$"):
+            call(EmbeddedCubicGraph(()))
 
 
 class TestEnumerate:
