@@ -168,8 +168,14 @@ def minimal_defining_sets(
     minimal = ~fails
     for v in range(n_vertices):
         minimal.reshape(-1, 2, 1 << v)[:, 1] &= fails.reshape(-1, 2, 1 << v)[:, 0]
-    found = [
-        frozenset(v for v in range(n_vertices) if mask >> v & 1)
-        for mask in np.flatnonzero(minimal).tolist()
-    ]
-    return tuple(sorted((s for s in found if len(s) <= limit), key=lambda s: (len(s), sorted(s))))
+    bits = np.flatnonzero(minimal)[:, None] >> np.arange(n_vertices) & 1
+    sizes = bits.sum(axis=1)
+    keep = sizes <= limit
+    bits, sizes = bits[keep], sizes[keep]
+    # Of two sets of one size, the one holding the lowest vertex where they
+    # differ sorts first: the one whose mask, bits reversed, is larger.
+    reversed_masks = bits @ (1 << np.arange(n_vertices)[::-1])
+    order = np.lexsort((-reversed_masks, sizes))
+    members = np.nonzero(bits[order])[1].tolist()
+    ends = np.cumsum(sizes[order]).tolist()
+    return tuple(frozenset(members[start:end]) for start, end in zip([0, *ends], ends))

@@ -157,19 +157,10 @@ def _valid_faces(g: EmbeddedCubicGraph) -> tuple[Face, ...]:
 def _default_dropped_face(g: EmbeddedCubicGraph, faces: tuple[Face, ...]) -> int:
     if g.outer_face_hint is None:
         return min(faces, key=lambda f: f.vertex_cycle).face_id
+    # validate has matched the hint to a face, and no two faces of a valid
+    # graph share a vertex set, so the first match is the only one.
     hint = frozenset(g.outer_face_hint)
-    matches = [f for f in faces if f.vertex_set == hint]
-    if len(matches) == 1:
-        return matches[0].face_id
-    if not matches:
-        raise InvalidGraphError(f"outer face hint {sorted(hint)} matches no traced face")
-    # Several faces share the hint's vertex set: fall back to the exact cycle.
-    want = {tuple(g.outer_face_hint), tuple(reversed(g.outer_face_hint))}
-    for f in matches:
-        cycles = {f.vertex_cycle[k:] + f.vertex_cycle[:k] for k in range(len(f.vertex_cycle))}
-        if cycles & {c[k:] + c[:k] for c in want for k in range(len(c))}:
-            return f.face_id
-    raise InvalidGraphError(f"outer face hint {sorted(hint)} is ambiguous")
+    return next(f.face_id for f in faces if f.vertex_set == hint)
 
 
 def build_main_sle(

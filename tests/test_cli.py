@@ -219,6 +219,15 @@ class TestZebra:
     def test_bad_set_string(self, cl3_file, capsys):
         assert main(["zebra", cl3_file, "--set", "a,b"]) == 1
 
+    @pytest.mark.parametrize(
+        "typed,flags", [("0", ["--one-based"]), ("7", ["--one-based"]), ("6", [])]
+    )
+    def test_unknown_id_is_named_as_typed(self, typed, flags, cl3_file, capsys):
+        assert main(["zebra", cl3_file, "--set", typed, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown vertex id {typed}\n"
+
 
 class TestGen:
     @pytest.mark.parametrize(
@@ -278,6 +287,13 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "all match" in out
 
+    @pytest.mark.parametrize("command,start,end", [("verify-cln", 5, 3), ("verify-mobius", 9, 4)])
+    def test_empty_range_is_an_error(self, command, start, end, capsys):
+        assert main([command, "--from", str(start), "--to", str(end)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: empty range: --from {start} is above --to {end}\n"
+
 
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, cl3_file, capsys):
@@ -316,6 +332,16 @@ class TestRepeatedCalls:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv", [["heawood", "--json", "list"], ["tait", "--one-based", "list"]], ids=" ".join
+    )
+    def test_group_flags_before_the_action_exit_two(self, argv, cl3_file, capsys):
+        # The shared flags belong to the action parser, so before the action they are unknown.
+        assert main([*argv, cl3_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
     def test_unknown_subcommand_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -324,3 +350,38 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+# Every subcommand on the figure's prism and on the bipartite cube, in text
+# and JSON, with 0- and 1-based ids.  ``cli_golden.json`` pins the exit code,
+# stdout and stderr of each call, so any byte of difference is a change to
+# the CLI's output: re-record the file only for a change made on purpose.
+GOLDEN_GRAPHS = {"cl3_paper": CL3_PAPER, "cl4": heawood.circular_ladder(4)}
+GOLDEN_COMMANDS = [
+    "validate {}", "faces {}", "rank {}", "rank {} --drop-face 1",
+    "count {}", "count {} --method both", "heawood list {}", "tait list {}",
+    "defining {}", "defining {} --mode heawood --max-size 2",
+    "zebra {} --set 1,3", "zebra {} --set 1,2",
+]
+GOLDEN_FREE = [
+    "gen cl 3", "gen k4", "verify-cln --from 3 --to 5", "verify-mobius --from 3 --to 5",
+]
+GOLDEN_FLAGS = ["", " --json", " --one-based", " --json --one-based"]
+GOLDEN_CASES = [
+    f"{name}: {command}{flags}"
+    for name in (*GOLDEN_GRAPHS, "-")
+    for command in (GOLDEN_COMMANDS if name != "-" else GOLDEN_FREE)
+    for flags in GOLDEN_FLAGS
+]
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_exact_output(case, tmp_path, capsys):
+    name, command = case.split(": ")
+    path = tmp_path / f"{name}.graph"
+    if name != "-":
+        path.write_text(format_graph(GOLDEN_GRAPHS[name]), encoding="utf-8")
+    rc = main(command.format(path).split())
+    captured = capsys.readouterr()
+    assert [rc, captured.out, captured.err] == GOLDEN[case]
