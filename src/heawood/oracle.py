@@ -1,10 +1,11 @@
-"""Brute-force enumeration of proper 3-edge-colorings.
+"""Brute-force enumeration of proper 3-edge-colorings, and a matching
+construction for bipartite graphs.
 
 This module is deliberately independent of the spin/face machinery: its
-only input is adjacency, its only technique is edge-by-edge backtracking,
-so agreement with the algebraic path is evidence rather than tautology.
-Edges are colored in breadth-first discovery order from vertex 0, which
-keeps the constraint propagation tight.
+only input is adjacency, its techniques are edge-by-edge backtracking and
+augmenting paths, so agreement with the algebraic path is evidence rather
+than tautology.  Edges are colored in breadth-first discovery order from
+vertex 0, which keeps the constraint propagation tight.
 """
 
 from __future__ import annotations
@@ -136,73 +137,58 @@ def is_proper_coloring(g, coloring: TaitColoring) -> bool:
     return True
 
 
-def _perfect_matching(adjacency: Sequence[Sequence[int]]) -> list[int] | None:
-    """Partners in the first perfect matching found depth-first, lowest vertex first."""
-    n = len(adjacency)
-    partner: list[int | None] = [None] * n
-    stack: list[tuple[int, int]] = []  # (vertex, slot of its partner) per matched pair
-    v, start = 0, 0
-    while True:
-        while v < n and partner[v] is not None:
-            v += 1
-        if v == n:
-            return partner
-        for slot in range(start, len(adjacency[v])):
-            w = adjacency[v][slot]
-            if partner[w] is None:
-                partner[v], partner[w] = w, v
-                stack.append((v, slot))
-                v, start = v + 1, 0
+def _perfect_matching(
+    adjacency: Sequence[Sequence[int]], part_a: Sequence[int], banned: Sequence[int]
+) -> list[int]:
+    """Partners in a perfect matching of a regular bipartite graph, no vertex
+    matched to its entry in ``banned``.
+
+    Each unmatched vertex of part A roots one breadth-first search for an
+    augmenting path, which always exists by Koenig's theorem.
+    """
+    partner = [-1] * len(adjacency)
+    for root in part_a:
+        came_from, queue, end = {}, [root], -1  # came_from: part B vertex -> part A vertex
+        for a in queue:  # the queue grows while it is walked
+            for b in adjacency[a]:
+                if b != banned[a] and b not in came_from:
+                    came_from[b] = a
+                    if partner[b] < 0:
+                        end = b
+                        break
+                    queue.append(partner[b])
+            if end >= 0:
                 break
-        else:
-            if not stack:
-                return None
-            v, slot = stack.pop()
-            partner[v] = partner[adjacency[v][slot]] = None
-            start = slot + 1
+        if end < 0:
+            raise AssertionError("no augmenting path in a regular bipartite graph")
+        while end >= 0:  # flip the path back to the root, whose partner is -1
+            a = came_from[end]
+            partner[a], partner[end], end = end, a, partner[a]
+    return partner
 
 
 def bipartite_tait_construct(g, parts: Bipartition | None = None) -> TaitColoring:
-    """Color a perfect matching 0 and alternate 1, 2 around the leftover cycles.
+    """Color one perfect matching 0, a second 1 and the edges left over 2.
 
-    Removing a perfect matching from a cubic graph leaves a 2-factor; in a
-    bipartite graph its cycles are even, so the alternation closes up.
+    A regular bipartite graph has a perfect matching (Koenig); removing it
+    from a cubic one leaves a 2-regular bipartite graph, which has another.
+    A given ``parts`` must be the graph's bipartition, else
+    ``NotBipartiteError`` is raised.
     """
     adjacency = _neighbor_triples(g)
     _check_cubic(adjacency)
-    if parts is None:
-        parts = is_bipartite(g)
-    if parts is None:
+    found = is_bipartite(g)
+    if found is None:
         raise NotBipartiteError("graph is not bipartite")
-    partner = _perfect_matching(adjacency)
-    if partner is None:
-        # Bipartite cubic graphs always have one; only corrupt input gets here.
-        raise AssertionError("no perfect matching found in a bipartite cubic graph")
-    edge_list = edges(g)
-    slot = {e: i for i, e in enumerate(edge_list)}
-    colors: list[int | None] = [None] * len(edge_list)
-    for u, v in enumerate(partner):
-        if u < v:
-            colors[slot[(u, v)]] = 0
-    for start in range(len(adjacency)):
-        first = [w for w in adjacency[start] if w != partner[start]]
-        e0 = (start, first[0]) if start < first[0] else (first[0], start)
-        if colors[slot[e0]] is not None:
-            continue
-        # Walk the 2-factor cycle through ``start``, alternating 1 and 2.
-        prev, current = start, min(first)
-        color, steps = 1, 0
-        while True:
-            e = (prev, current) if prev < current else (current, prev)
-            colors[slot[e]] = color
-            color = 3 - color
-            steps += 1
-            nxt = next(
-                w for w in adjacency[current] if w != partner[current] and w != prev
-            )
-            prev, current = current, nxt
-            if prev == start or steps > 2 * len(edge_list):
-                break
-        if steps % 2:
-            raise AssertionError("odd 2-factor cycle in a bipartite graph")
+    # A connected bipartite graph has one bipartition, up to swapping its parts.
+    if parts not in (None, found, Bipartition(found.part_b, found.part_a)):
+        raise NotBipartiteError("the given parts are not the bipartition of the graph")
+    part_a = sorted(found.part_a)
+    first = _perfect_matching(adjacency, part_a, [-1] * len(adjacency))
+    second = _perfect_matching(adjacency, part_a, first)
+    slot = {e: i for i, e in enumerate(edges(g))}
+    colors = [2] * len(slot)
+    for a in part_a:
+        for color, b in enumerate((first[a], second[a])):
+            colors[slot[(a, b) if a < b else (b, a)]] = color
     return TaitColoring(tuple(colors))

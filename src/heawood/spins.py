@@ -20,9 +20,10 @@ Counting does not enumerate.  ``count_tait_colorings_heawood`` writes each
 face equation as a character sum over Z3, which leaves one small integer
 factor per vertex over its three faces, and sums the face characters out
 one at a time (bucket elimination on the face system that Penrose uses to
-count Tait colorings).  Its cost follows 3**width, the width being the most
-faces one step joins (about the treewidth of the dual triangulation,
-O(sqrt n) on planar graphs), not the number of colorings.  Listing the vectors
+count Tait colorings), in an order planned on the face graph before any
+table is built.  Its cost follows 3**width, the width being the most faces
+one step joins (about the treewidth of the dual triangulation, O(sqrt n) on
+planar graphs), not the number of colorings.  Listing the vectors
 (``enumerate_heawood_vectors``) drops a branch of free spins as soon as a
 pivot spin it fixes is 0, so its work follows the surviving branches.
 """
@@ -30,7 +31,6 @@ pivot spin it fixes is 0, so its work follows the surviving branches.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -237,64 +237,57 @@ def count_tait_colorings_heawood(g: EmbeddedCubicGraph) -> int:
     over {1, 2} then leaves one integer factor per vertex,
     h(a + b + c) over the characters a, b, c of its three faces, with
     h(0) = 2 and h(1) = h(2) = -1.  The count is 3**-(n+2) times the sum of
-    the product of these factors over all characters of the n+2 faces, which
-    is eliminated one face at a time, always a face with the fewest
-    neighbours left, in exact Python ints.  Time and memory follow 3**width,
-    ``width`` the most neighbours an eliminated face had, whatever the number
-    of colorings.  Raises ``EnumerationLimitError`` before building a table
-    wider than ``MAX_ELIMINATION_WIDTH`` faces.
+    the product of these factors over all characters of the n+2 faces.
+    A plan on the face graph alone first orders the faces, always one with
+    the fewest neighbours left, and raises ``EnumerationLimitError`` before
+    any table is built if one would span more than ``MAX_ELIMINATION_WIDTH``
+    faces.  Bucket elimination then sums the faces out in that order, in
+    exact Python ints.  Time and memory follow 3**width, ``width`` the most
+    neighbours a face had when summed out, whatever the number of colorings.
     """
     faces = _valid_faces(g)
-    # Factors as (faces, table), keyed by vertex or eliminated face; each face
-    # lists the keys of the factors that hold it.
-    factors: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
-    holding: list[set[int]] = [set() for _ in faces]
-    neighbours: list[set[int]] = [set() for _ in faces]
     vertex_faces: list[list[int]] = [[] for _ in range(g.n_vertices)]
     for face in faces:
         for v in face.vertex_cycle:
             vertex_faces[v].append(face.face_id)
-    for v, scope in enumerate(vertex_faces):
-        factors[v] = (tuple(scope), _VERTEX_FACTOR)
-        for f in scope:
-            holding[f].add(v)
-            neighbours[f].update(scope)
-    for f, around in enumerate(neighbours):
-        around.discard(f)
+    neighbours = [
+        set().union(*(vertex_faces[v] for v in f.vertex_cycle)) - {f.face_id} for f in faces
+    ]
     heap = [(len(around), f) for f, around in enumerate(neighbours)]
     heapq.heapify(heap)
-    done = [False] * len(faces)
+    plan: list[tuple[int, tuple[int, ...]]] = []  # each face and its neighbours when summed out
+    step = [-1] * len(faces)  # each face's place in the plan
     while heap:
         width, x = heapq.heappop(heap)
-        if done[x] or width != len(neighbours[x]):
+        if step[x] >= 0 or width != len(neighbours[x]):
             continue
         if width > MAX_ELIMINATION_WIDTH:
             raise EnumerationLimitError(
                 f"counting elimination is limited to width {MAX_ELIMINATION_WIDTH}; "
                 f"the least-neighbour order reaches width {width}"
             )
-        done[x] = True
-        scope = tuple(sorted(neighbours[x]))
-        axis = {f: k for k, f in enumerate((x,) + scope)}
-        operands: list = []
-        for held in holding[x]:
-            held_scope, table = factors.pop(held)
-            for f in held_scope:
-                if f != x:
-                    holding[f].discard(held)
-            operands += [table, [axis[f] for f in held_scope]]
-        key = g.n_vertices + x
-        factors[key] = (scope, np.einsum(*operands, list(range(1, len(scope) + 1))))
+        step[x], scope = len(plan), tuple(sorted(neighbours[x]))
+        plan.append((x, scope))
         for y in scope:
-            holding[y].add(key)
             neighbours[y].update(scope)
             neighbours[y].difference_update((x, y))
             heapq.heappush(heap, (len(neighbours[y]), y))
-    # Every face is summed out, so only scalars are left.
-    total = math.prod(table for _, table in factors.values())
-    vectors, remainder = divmod(total, 3 ** len(faces))
+    # Each table waits in the bucket of its first face in the plan.
+    buckets: list[list] = [[] for _ in plan]
+    for scope in vertex_faces:
+        buckets[min(step[f] for f in scope)].append((scope, _VERTEX_FACTOR))
+    for (x, scope), bucket in zip(plan, buckets):
+        axis = {f: k for k, f in enumerate((x,) + scope)}
+        operands: list = []
+        for held_scope, held in bucket:
+            operands += [held, [axis[f] for f in held_scope]]
+        table = np.einsum(*operands, list(range(1, len(scope) + 1)))
+        if scope:
+            buckets[min(step[f] for f in scope)].append((scope, table))
+    # The face graph is connected, so only the last face leaves a scalar.
+    vectors, remainder = divmod(table, 3 ** len(faces))
     if remainder:
-        raise AssertionError(f"character sum {total} is not a multiple of 3**{len(faces)}")
+        raise AssertionError(f"character sum {table} is not a multiple of 3**{len(faces)}")
     return 3 * vectors
 
 

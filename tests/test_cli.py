@@ -14,7 +14,9 @@ from heawood import format_graph, parse_graph
 from heawood.cli import main
 from perfbench.graphgen import random_planar_cubic
 
-from conftest import CL3_PAPER
+from conftest import CL3_PAPER, DUMBBELL
+
+BROKEN_TEXT = "vertices 2\n0: 1 1 1\n1: 0 0 0\n"
 
 
 @pytest.fixture
@@ -27,7 +29,7 @@ def cl3_file(tmp_path):
 @pytest.fixture
 def broken_file(tmp_path):
     path = tmp_path / "broken.graph"
-    path.write_text("vertices 2\n0: 1 1 1\n1: 0 0 0\n", encoding="utf-8")
+    path.write_text(BROKEN_TEXT, encoding="utf-8")
     return str(path)
 
 
@@ -77,6 +79,23 @@ class TestFaces:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "unknown neighbor 7" in captured.err
+
+    @pytest.mark.parametrize(
+        "text",
+        [BROKEN_TEXT, format_graph(DUMBBELL), format_graph(heawood.petersen())],
+        ids=["broken", "dumbbell", "petersen"],
+    )
+    def test_refuses_what_validate_rejects(self, text, tmp_path, capsys):
+        path = tmp_path / "rejected.graph"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        capsys.readouterr()
+        assert main(["rank", str(path)]) == 1
+        rank = capsys.readouterr()
+        assert main(["faces", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert captured == rank
 
 
 class TestRank:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from heawood import (
+    Bipartition,
     EmbeddedCubicGraph,
     EnumerationLimitError,
     InvalidGraphError,
@@ -15,6 +16,7 @@ from heawood import (
     count_tait_oracle,
     edges,
     enumerate_tait_oracle,
+    is_bipartite,
     is_proper_coloring,
     k4,
     mobius_ladder,
@@ -22,11 +24,9 @@ from heawood import (
     relabel,
 )
 
-from heawood.graphs import _neighbor_triples
-from heawood.oracle import _perfect_matching
 from perfbench.graphgen import fresh_relabelling, random_planar_cubic
 
-from conftest import CL3_PAPER, reference_perfect_matching
+from conftest import CL3_PAPER
 
 
 def _matching_graphs():
@@ -132,15 +132,38 @@ class TestBipartiteConstruct:
             bipartite_tait_construct(CL3_PAPER)
 
     @pytest.mark.parametrize("g", _matching_graphs())
-    def test_matching_equals_the_recursive_search(self, g):
-        adjacency = _neighbor_triples(g)
-        partner = _perfect_matching(adjacency)
-        pairs = [(u, w) for u, w in enumerate(partner) if u < w]
-        assert pairs == reference_perfect_matching(adjacency)
+    def test_each_colour_class_is_a_perfect_matching(self, g):
+        if is_bipartite(g) is None:
+            with pytest.raises(NotBipartiteError):
+                bipartite_tait_construct(g)
+            return
+        coloring = bipartite_tait_construct(g)
+        for color in range(3):
+            ends = [v for e, c in zip(edges(g), coloring.colors) if c == color for v in e]
+            assert sorted(ends) == list(range(g.n_vertices)), color
+
+    def test_given_bipartition_is_checked(self):
+        g = circular_ladder(4)
+        parts = is_bipartite(g)
+        for given in (parts, Bipartition(parts.part_b, parts.part_a)):
+            assert is_proper_coloring(g, bipartite_tait_construct(g, given))
+        swapped = {0, 1}  # their other edges now lie inside a part
+        wrong = Bipartition(parts.part_a ^ swapped, parts.part_b ^ swapped)
+        with pytest.raises(NotBipartiteError):
+            bipartite_tait_construct(g, wrong)
+        with pytest.raises(NotBipartiteError):
+            bipartite_tait_construct(g, Bipartition(parts.part_a, parts.part_b - {1}))
+
+    @pytest.mark.parametrize("g", [petersen(), CL3_PAPER, circular_ladder(5), circular_ladder(7)])
+    def test_invented_bipartition_of_a_non_bipartite_graph_rejected(self, g):
+        half = g.n_vertices // 2
+        invented = Bipartition(frozenset(range(half)), frozenset(range(half, g.n_vertices)))
+        with pytest.raises(NotBipartiteError):
+            bipartite_tait_construct(g, invented)
 
     def test_relabelled_bipartite_ladders(self):
         rng = random.Random("bipartite construct")
-        for n in range(4, 31, 2):
+        for n in range(4, 61, 2):
             g, _ = fresh_relabelling(circular_ladder(n), rng)
             assert is_proper_coloring(g, bipartite_tait_construct(g))
 

@@ -457,6 +457,22 @@ class TestCountSweep:
             count_tait_colorings_heawood(circular_ladder(50))
         assert widths == []
 
+    def test_late_wide_step_refused_before_any_table(self, monkeypatch):
+        calls = []
+        einsum = np.einsum
+
+        def spy(*operands):
+            calls.append(len(operands[-1]))
+            return einsum(*operands)
+
+        g = random_planar_cubic(200, random.Random(7))
+        monkeypatch.setattr(spins, "MAX_ELIMINATION_WIDTH", 6)
+        monkeypatch.setattr(spins.np, "einsum", spy)
+        # The least-neighbour order first passes width 6 at step 93 of 102.
+        with pytest.raises(EnumerationLimitError, match="limited to width 6; .* width 7$"):
+            count_tait_colorings_heawood(g)
+        assert calls == []
+
     def test_invalid_graph_rejected(self):
         with pytest.raises(InvalidGraphError):
             count_tait_colorings_heawood(DUMBBELL)
