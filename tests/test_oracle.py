@@ -24,9 +24,11 @@ from heawood import (
     relabel,
 )
 
+from heawood.graphs import _neighbor_triples
+from heawood.oracle import _perfect_matching
 from perfbench.graphgen import fresh_relabelling, random_planar_cubic
 
-from conftest import CL3_PAPER
+from conftest import CL3_PAPER, reference_perfect_matching
 
 
 def _matching_graphs():
@@ -132,11 +134,20 @@ class TestBipartiteConstruct:
             bipartite_tait_construct(CL3_PAPER)
 
     @pytest.mark.parametrize("g", _matching_graphs())
-    def test_each_colour_class_is_a_perfect_matching(self, g):
-        if is_bipartite(g) is None:
+    def test_matching_equals_the_recursive_search(self, g):
+        # The augmenting-path search matches as many pairs as the former
+        # recursive search, and each colour class it builds is a perfect matching.
+        adjacency = _neighbor_triples(g)
+        reference = reference_perfect_matching(adjacency)
+        assert reference is not None
+        parts = is_bipartite(g)
+        if parts is None:
             with pytest.raises(NotBipartiteError):
                 bipartite_tait_construct(g)
             return
+        partner = _perfect_matching(adjacency, sorted(parts.part_a), [-1] * g.n_vertices)
+        assert all(partner[partner[v]] == v and partner[v] in adjacency[v] for v in range(g.n_vertices))
+        assert len([v for v, w in enumerate(partner) if v < w]) == len(reference)
         coloring = bipartite_tait_construct(g)
         for color in range(3):
             ends = [v for e, c in zip(edges(g), coloring.colors) if c == color for v in e]
