@@ -26,7 +26,13 @@ from .defining import free_variable_defining_set, minimal_defining_sets, zebra_w
 from .errors import HeawoodError
 from .graphs import edges, format_graph, is_bipartite, load_cubic, load_graph, validate
 from .oracle import count_tait_oracle, enumerate_tait_oracle
-from .spins import build_main_sle, count_tait_colorings_heawood, enumerate_heawood_vectors, sle_rank
+from .spins import (
+    _valid_faces,
+    build_main_sle,
+    count_tait_colorings_heawood,
+    enumerate_heawood_vectors,
+    sle_rank,
+)
 
 __all__ = ["main"]
 
@@ -69,7 +75,7 @@ def _cmd_validate(args: argparse.Namespace) -> Iterator:
 
 def _cmd_faces(args: argparse.Namespace) -> Iterator:
     g = load_graph(args.graph)
-    faces = build_main_sle(g).faces
+    faces = _valid_faces(g)
     hint = None if g.outer_face_hint is None else sorted(g.outer_face_hint)
     cycles = [_shown(f.vertex_cycle, args) for f in faces]
     payload = {

@@ -281,6 +281,7 @@ def count_tait_colorings_heawood(g: EmbeddedCubicGraph) -> int:
         operands: list = []
         for held_scope, held in bucket:
             operands += [held, [axis[f] for f in held_scope]]
+        bucket.clear()  # a summed-out table is freed with this step's operands
         table = np.einsum(*operands, list(range(1, len(scope) + 1)))
         if scope:
             buckets[min(step[f] for f in scope)].append((scope, table))

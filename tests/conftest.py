@@ -431,29 +431,3 @@ def reference_tait_to_heawood(g: EmbeddedCubicGraph, coloring: TaitColoring) -> 
             raise AssertionError(f"non-constant color step at vertex {vertex}")
         spins.append(step)
     return HeawoodVector(tuple(spins))
-
-
-def reference_perfect_matching(adjacency) -> list[Edge] | None:
-    """The former recursive matching search of the oracle, one call per matched
-    pair, kept as an independent reference for the augmenting-path search."""
-    n = len(adjacency)
-    partner: list[int | None] = [None] * n
-
-    def extend(v: int) -> bool:
-        while v < n and partner[v] is not None:
-            v += 1
-        if v == n:
-            return True
-        for w in adjacency[v]:
-            if partner[w] is None:
-                partner[v] = w
-                partner[w] = v
-                if extend(v + 1):
-                    return True
-                partner[v] = None
-                partner[w] = None
-        return False
-
-    if not extend(0):
-        return None
-    return [(v, partner[v]) for v in range(n) if v < partner[v]]

@@ -473,6 +473,24 @@ class TestCountSweep:
             count_tait_colorings_heawood(g)
         assert calls == []
 
+    def test_summed_out_tables_are_freed(self, monkeypatch):
+        tables, others_alive = [], []
+        einsum = np.einsum
+
+        def spy(*operands):
+            own = {id(x) for x in operands[:-1:2]}
+            others_alive.append(sum(t() is not None and id(t()) not in own for t in tables))
+            table = einsum(*operands)
+            if isinstance(table, np.ndarray):
+                tables.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(spins.np, "einsum", spy)
+        g = random_planar_cubic(60, random.Random(7))
+        assert count_tait_colorings_heawood(g) == count_tait_oracle(g)
+        # Only the last step's own operands may be alive when it runs.
+        assert len(tables) > 20 and others_alive[-1] == 0
+
     def test_invalid_graph_rejected(self):
         with pytest.raises(InvalidGraphError):
             count_tait_colorings_heawood(DUMBBELL)
