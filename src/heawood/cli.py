@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 from . import families
 from .defining import free_variable_defining_set, minimal_defining_sets, zebra_witness
 from .errors import HeawoodError
-from .graphs import edges, format_graph, is_bipartite, load_cubic, load_graph, validate
+from .graphs import edges, format_graph, load_cubic, load_graph, validate
 from .oracle import count_tait_oracle, enumerate_tait_oracle
 from .spins import (
     _valid_faces,
@@ -95,7 +95,7 @@ def _cmd_rank(args: argparse.Namespace) -> Iterator:
     system = build_main_sle(g, args.drop_face)
     rank = sle_rank(g, args.drop_face)
     rows, cols = (int(size) for size in system.matrix.shape)
-    bipartite = is_bipartite(g) is not None
+    bipartite = validate(g).bipartite
     yield {"rank": rank, "n": g.n_vertices // 2, "rows": rows, "cols": cols,
            "bipartite": bipartite, "dropped_face": system.dropped_face_id}, 0
     kind = "bipartite" if bipartite else "non-bipartite"

@@ -12,8 +12,10 @@ always Heawood-defining, not conversely.  Supersets of defining sets define.
 A *zebra witness* for a vertex set T is a nonzero combination of the kept
 face equations whose support (vertices with nonzero coefficient in the
 combined equation) lies inside T.  One exists exactly when the columns
-outside T have rank below the row count; its support is empty only for
-bipartite graphs.
+outside T have rank below the row count, and ``zebra_witness`` returns the
+first dependency of the rows restricted outside T: coefficient 1 on the first
+row f that is a combination of the rows before it, 0 after f.  Its support is
+empty only for bipartite graphs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import gf3
 from .errors import SubsetSearchLimitError
-from .graphs import EmbeddedCubicGraph, is_bipartite
+from .graphs import EmbeddedCubicGraph, validate
 from .spins import HeawoodSystem, build_main_sle, enumerate_heawood_vectors
 
 __all__ = [
@@ -76,24 +78,23 @@ def combination_support(system: HeawoodSystem, coefficients) -> frozenset[int]:
 
 
 def zebra_witness(g: EmbeddedCubicGraph, vertices: Iterable[int]) -> ZebraWitness | None:
-    """Some witness supported inside ``vertices``, or None when none exists.
+    """The first dependency supported inside ``vertices``, or None when none exists.
 
-    Any valid witness is returned, not a minimal one: the coefficients are
-    the first basis vector of the left kernel of the outside columns, whose
-    first free coefficient is 1 and the other free ones 0.
+    Restricted outside the set, some first row f is a combination of the rows
+    before it; the witness is the one such combination with coefficient 1 on
+    f and 0 after f.  It need not be minimal.
     """
     system = build_main_sle(g)
     members = _checked_members(g, vertices)
     outside = sorted(set(range(system.n_vertices)) - members)
-    kernel = gf3.solve_parametric(system.matrix[:, outside].T)
-    if not kernel.free_cols:
+    dependency = gf3.first_dependency(system.matrix[:, outside].T)
+    if dependency is None:
         return None
-    first = [1] + [0] * (len(kernel.free_cols) - 1)
-    coefficients = tuple(int(x) for x in kernel.substitute(first))
+    coefficients = tuple(int(x) for x in dependency)
     support = combination_support(system, coefficients)
     if not support <= members:
         raise AssertionError("witness support leaked outside the queried set")
-    if not support and is_bipartite(g) is None:
+    if not support and not validate(g).bipartite:
         raise AssertionError("empty-support combination in a non-bipartite graph")
     return ZebraWitness(coefficients, support)
 
@@ -119,7 +120,7 @@ def free_variable_defining_set(g: EmbeddedCubicGraph) -> FreeVariableSet:
     system = build_main_sle(g)
     pivot = set(system.reduced.pivot_cols)
     members = frozenset(v for v in range(system.n_vertices) if v not in pivot)
-    return FreeVariableSet(members, is_bipartite(g) is not None)
+    return FreeVariableSet(members, validate(g).bipartite)
 
 
 def minimal_defining_sets(

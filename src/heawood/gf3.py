@@ -8,16 +8,20 @@ pivot columns and kernel parametrizations are reproducible bit for bit.
 ``rref`` eliminates on bit-sliced rows (Boothby and Bradshaw): a row is two
 Python ints, bit j of ``ones`` set where entry j is 1 and bit j of ``twos``
 where it is 2.  Scaling by 2 swaps the planes and adding a row is a dozen
-whole-row bitwise operations.  Rows are found by their leading column and,
-going back, by one bitset per pivot column, so only rows nonzero in the
-pivot column are touched; whatever the order of work, the output is the
-unique reduced form, the same bytes as plain Gauss-Jordan's.
+whole-row bitwise operations.  One forward pass buckets rows by their leading
+column and yields the pivots in column order.  ``rref`` takes them all and goes
+back by one bitset per pivot column, read once from the echelon form (clearing
+a pivot changes no earlier pivot column), so only rows nonzero in the pivot
+column are touched: the output is the unique reduced form, the same bytes as
+plain Gauss-Jordan's.  ``column_submatrix_rank`` counts the pivots, and
+``first_dependency`` stops at the first column f without one to back-substitute
+over those before it: the one kernel vector that is 1 at f and 0 after f.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +30,7 @@ __all__ = [
     "RrefResult",
     "rref",
     "column_submatrix_rank",
+    "first_dependency",
     "ParametricSolution",
     "solve_parametric",
     "row_combination",
@@ -96,26 +101,12 @@ def _subtract(o: int, t: int, a: int, b: int, zero_p: int, bit: int) -> tuple[in
     return (o & zero_p) | (y1 & zero_x) | (t & y2), (t & zero_p) | (y2 & zero_x) | (o & y1)
 
 
-def rref(matrix) -> RrefResult:
-    """The reduced row echelon form mod 3 and its pivot columns, both unique for the matrix.
-
-    The forward pass keeps each nonzero row in a bucket keyed by its lowest
-    nonzero column.  A column's first bucketed row becomes its pivot,
-    scaled to lead with 1, and is subtracted from the rest of that bucket,
-    each result moving to the bucket of its new lowest column (or dropping
-    out when zero).  Clearing a pivot from the rows above it changes no
-    row at an earlier pivot column, so the back pass reads once, from the
-    echelon form, which rows each pivot clears, and visits only those.
-    """
-    mat = as_gf3(matrix)
-    n_rows, n_cols = mat.shape
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(n_cols)]
+def _echelon(mat: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """The forward pass: each pivot column in order, with its echelon row's planes."""
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(mat.shape[1])]
     for o, t in zip(_planes(mat == 1), _planes(mat == 2)):
         if z := o | t:
             buckets[(z & -z).bit_length() - 1].append((o, t))
-    ones: list[int] = []
-    twos: list[int] = []
-    pivots: list[int] = []
     for col, bucket in enumerate(buckets):
         if not bucket:
             continue
@@ -123,15 +114,21 @@ def rref(matrix) -> RrefResult:
         a, b = bucket[0]
         if b & bit:
             a, b = b, a
+        yield col, a, b  # before clearing the bucket, which a caller stopping here skips
         zero_p = ~(a | b)
         for o, t in bucket[1:]:
             o, t = _subtract(o, t, a, b, zero_p, bit)
             if z := o | t:
                 buckets[(z & -z).bit_length() - 1].append((o, t))
         bucket.clear()  # spent rows go, so peak memory stays that of the output
-        ones.append(a)
-        twos.append(b)
-        pivots.append(col)
+
+
+def rref(matrix) -> RrefResult:
+    """The reduced row echelon form mod 3 and its pivot columns, both unique for the matrix."""
+    mat = as_gf3(matrix)
+    n_rows, n_cols = mat.shape
+    steps = list(_echelon(mat))
+    pivots, ones, twos = ([step[k] for step in steps] for k in range(3))
     rank = len(pivots)
     if rank:
         above = _planes(_unplanes([o | t for o, t in zip(ones, twos)], n_cols)[:, pivots].T)
@@ -155,9 +152,26 @@ def column_submatrix_rank(matrix, cols: Iterable[int]) -> int:
     for c in selected:
         if not 0 <= c < mat.shape[1]:
             raise IndexError(f"column {c} out of range for {mat.shape[1]} columns")
-    if not selected:
-        return 0
-    return rref(mat[:, selected]).rank
+    return sum(1 for _ in _echelon(mat[:, selected]))
+
+
+def first_dependency(matrix) -> np.ndarray | None:
+    """The kernel vector that is 1 at the first column f depending on the columns
+    before it and 0 after f, unique as those are independent; None if no f exists."""
+    mat = as_gf3(matrix)
+    rows = []
+    for col, a, b in _echelon(mat):
+        if col > len(rows):
+            break
+        rows.append((a, b))
+    if len(rows) == mat.shape[1]:
+        return None
+    ones, twos = 1 << len(rows), 0
+    for i, (a, b) in reversed(list(enumerate(rows))):
+        # Entry i is minus the row's dot with later entries (equal pairs give 1, unequal 2).
+        x = (((a & twos) | (b & ones)).bit_count() - ((a & ones) | (b & twos)).bit_count()) % 3
+        ones, twos = ones | (x == 1) << i, twos | (x == 2) << i
+    return (_unplanes([ones], mat.shape[1]) + 2 * _unplanes([twos], mat.shape[1]))[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,9 @@
 """Cubic graphs as combinatorial embeddings (rotation systems).
 
 An embedded graph stores one counterclockwise-ordered neighbor triple per
-vertex; faces are traced on demand, once per graph object, and kept on that
-object for its lifetime (never shared between equal objects), so the
-rotation system is the single source of truth.
+vertex; its faces and validation report are derived on demand, once per
+graph object, and kept on that object for its lifetime (never shared
+between equal objects), so the rotation system is the single source of truth.
 
 Face tracing rule: after arriving at vertex ``w`` along the dart
 ``u -> w``, the walk leaves along ``w -> x`` where ``x`` is the neighbor
@@ -244,8 +244,9 @@ def _reach_and_cut(triples: Sequence[Sequence[int]]) -> tuple[bool, bool]:
     return timer == n, cut or root_children > 1
 
 
+@_per_graph
 def validate(g: EmbeddedCubicGraph) -> ValidationReport:
-    """Check every structural requirement; problems are reported, not raised."""
+    """Check every structural requirement, once per graph; problems are reported, not raised."""
     problems: list[str] = []
     rotations = g.rotations
     n_vertices = g.n_vertices

@@ -189,7 +189,7 @@ def sle_rank(g: EmbeddedCubicGraph, drop_face_id: int | None = None) -> int:
     """Rank of the main system: n+1 when non-bipartite, n when bipartite."""
     rank = build_main_sle(g, drop_face_id).reduced.rank
     n = g.n_vertices // 2
-    expected = n if is_bipartite(g) is not None else n + 1
+    expected = n if validate(g).bipartite else n + 1
     if rank != expected:
         # The rank is forced by bipartiteness; a mismatch means the system
         # matrix was built wrong, not that the input is unusual.
@@ -378,13 +378,18 @@ def tait_to_heawood(g: EmbeddedCubicGraph, coloring: TaitColoring) -> HeawoodVec
 def bipartite_heawood_vector(
     g: EmbeddedCubicGraph, parts: Bipartition | None = None
 ) -> HeawoodVector:
-    """Spin +1 on one part, -1 on the other; valid because every face alternates parts."""
+    """Spin +1 on one part, -1 on the other; valid because every face alternates parts.
+
+    A given ``parts`` must be the graph's bipartition, either way round.
+    """
     _valid_faces(g)
-    if parts is None:
-        parts = is_bipartite(g)
-    if parts is None:
+    found = is_bipartite(g)
+    if found is None:
         raise NotBipartiteError("graph is not bipartite")
-    return HeawoodVector(tuple(1 if v in parts.part_a else 2 for v in range(g.n_vertices)))
+    if parts not in (None, found, Bipartition(found.part_b, found.part_a)):
+        raise NotBipartiteError("the given parts are not the bipartition of the graph")
+    part_a = (parts or found).part_a
+    return HeawoodVector(tuple(1 if v in part_a else 2 for v in range(g.n_vertices)))
 
 
 def contract_triangle(g: EmbeddedCubicGraph, face_id: int) -> EmbeddedCubicGraph:

@@ -20,10 +20,14 @@ from heawood import (
     build_main_sle,
     contract_triangle,
     enumerate_heawood_vectors,
+    ZebraWitness,
+    combination_support,
     gf3,
+    is_bipartite,
     trace_faces,
     validate,
 )
+from heawood.defining import _checked_members
 from heawood.graphs import Edge
 from heawood.spins import _conversion_tables
 
@@ -198,6 +202,29 @@ def reference_minimal_defining_sets(g, mode="linear", max_size=None) -> tuple[fr
             for mask in np.flatnonzero(minimal).tolist()
         ]
     return tuple(sorted((s for s in found if len(s) <= limit), key=lambda s: (len(s), sorted(s))))
+
+
+def reference_zebra_witness(g, vertices) -> ZebraWitness | None:
+    """The former ``zebra_witness``: a full parametric solve of the left kernel.
+
+    Eliminates the outside columns completely, reads the kernel off the
+    reduced form and substitutes its first free column; the package now stops
+    the forward pass at that column instead.
+    """
+    system = build_main_sle(g)
+    members = _checked_members(g, vertices)
+    outside = sorted(set(range(system.n_vertices)) - members)
+    kernel = gf3.solve_parametric(system.matrix[:, outside].T)
+    if not kernel.free_cols:
+        return None
+    first = [1] + [0] * (len(kernel.free_cols) - 1)
+    coefficients = tuple(int(x) for x in kernel.substitute(first))
+    support = combination_support(system, coefficients)
+    if not support <= members:
+        raise AssertionError("witness support leaked outside the queried set")
+    if not support and is_bipartite(g) is None:
+        raise AssertionError("empty-support combination in a non-bipartite graph")
+    return ZebraWitness(coefficients, support)
 
 
 def _sign_patterns(k: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from conftest import (
     CL3_ZEBRA_PAIRS,
     kernel_scan,
     reference_minimal_defining_sets,
+    reference_zebra_witness,
     row_of_face,
     triangle_contractions,
 )
@@ -75,6 +76,15 @@ def _reference_population():
     rng = random.Random("minimal-defining-sets past subset search")
     for n in (14, 16):
         graphs += [(f"random_{n}_{i}", random_planar_cubic(n, rng)) for i in range(4)]
+    return [pytest.param(name, g, id=name) for name, g in graphs]
+
+
+def _zebra_population():
+    graphs = [("k4", k4()), ("cl3_paper", CL3_PAPER)]
+    graphs += [(f"cl_{n}", circular_ladder(n)) for n in range(3, 61)]
+    rng = random.Random("zebra witnesses")
+    sizes = (4, 6, 8, 10, 12, 14, 16, 20, 24, 30, 36, 50, 64, 80, 100, 150, 200, 300, 400)
+    graphs += [(f"random_{n}", random_planar_cubic(n, rng)) for n in sizes]
     return [pytest.param(name, g, id=name) for name, g in graphs]
 
 
@@ -153,6 +163,16 @@ class TestZebraWitness:
     def test_unknown_vertex_rejected(self):
         with pytest.raises(ValueError):
             zebra_witness(CL3_PAPER, {0, 99})
+
+    @pytest.mark.parametrize("name, g", _zebra_population())
+    def test_matches_reference_witness(self, name, g):
+        rng = random.Random(name)
+        relabelled, _ = fresh_relabelling(g, rng)
+        for graph in (g, relabelled):
+            for size in range(graph.n_vertices + 1):
+                subset = rng.sample(range(graph.n_vertices), size)
+                expected = reference_zebra_witness(graph, subset)
+                assert zebra_witness(graph, subset) == expected, (name, sorted(subset))
 
 
 class TestLinearDefining:

@@ -308,6 +308,81 @@ class TestColumnSubmatrixRank:
         mat = [[1, 2], [0, 1]]
         assert gf3.column_submatrix_rank(mat, [0, 0, 1]) == 2
 
+    def test_counts_pivots_without_a_back_pass(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the rank needs no reduced form")
+
+        monkeypatch.setattr(gf3, "_unplanes", refuse)
+        rng = np.random.default_rng(25)
+        for _ in range(40):
+            mat = shared_lead_rows(rng, int(rng.integers(4, 30)), int(rng.integers(1, 30)))
+            assert gf3.column_submatrix_rank(mat, range(mat.shape[1])) == len(reference_rref(mat)[1])
+
+
+def reference_first_dependency(matrix) -> np.ndarray | None:
+    """The first kernel basis vector of the parametric solution, or None."""
+    kernel = gf3.solve_parametric(matrix)
+    if not kernel.free_cols:
+        return None
+    return kernel.substitute([1] + [0] * (len(kernel.free_cols) - 1))
+
+
+def assert_same_dependency(matrix) -> None:
+    expected = reference_first_dependency(matrix)
+    result = gf3.first_dependency(matrix)
+    if expected is None:
+        assert result is None
+        return
+    assert result.dtype == np.uint8
+    assert result.tolist() == expected.tolist()
+    f = int(np.flatnonzero(result)[-1])
+    assert result[f] == 1
+    assert not matvec(matrix, result).any()
+    assert gf3.column_submatrix_rank(matrix, range(f)) == f
+
+
+class TestFirstDependency:
+    """The early-exit dependency against the full parametric solution."""
+
+    @pytest.mark.parametrize("n_rows", range(9))
+    def test_every_small_shape(self, n_rows):
+        rng = np.random.default_rng(100 + n_rows)
+        for n_cols in range(9):
+            shape = (n_rows, n_cols)
+            cases = [rng.integers(0, 3, size=shape) for _ in range(8)]
+            sparse = rng.integers(0, 3, size=shape)
+            sparse[rng.random(shape) < 0.7] = 0
+            cases += [sparse, np.zeros(shape, dtype=int), np.full(shape, 2)]
+            if n_cols <= n_rows:
+                # Full column rank: unit columns over random rows, rows shuffled.
+                independent = np.vstack([np.eye(n_cols, dtype=int) * rng.integers(1, 3, size=n_cols),
+                                         rng.integers(0, 3, size=(n_rows - n_cols, n_cols))])
+                cases.append(rng.permutation(independent))
+            for mat in cases:
+                assert_same_dependency(mat)
+
+    def test_empty_shapes(self):
+        assert gf3.first_dependency(np.zeros((3, 0), dtype=int)) is None
+        assert gf3.first_dependency(np.zeros((0, 0), dtype=int)) is None
+        assert gf3.first_dependency(np.zeros((0, 4), dtype=int)).tolist() == [1, 0, 0, 0]
+
+    def test_full_column_rank_has_none(self):
+        assert gf3.first_dependency(np.eye(5, dtype=int)) is None
+        assert gf3.first_dependency([[1, 2], [0, 1], [2, 2]]) is None
+
+    def test_crowded_and_generated_blocks(self):
+        rng = np.random.default_rng(26)
+        for _ in range(30):
+            rows = int(rng.integers(4, 61))
+            assert_same_dependency(shared_lead_rows(rng, rows, int(rng.integers(1, 2 * rows))))
+            assert_same_dependency(shared_lead_rows(rng, rows, int(rng.integers(1, 2 * rows))).T)
+        draws = random.Random(27)
+        for v in GENERATED_SIZES:
+            matrix = build_main_sle(random_planar_cubic(v, draws)).matrix
+            for size in range(0, v + 1, max(1, v // 16)):
+                outside = sorted(set(range(v)) - set(draws.sample(range(v), size)))
+                assert_same_dependency(matrix[:, outside].T)
+
 
 class TestNonsingular:
     @pytest.mark.parametrize("size", range(7))

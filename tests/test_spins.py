@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from heawood import (
+    Bipartition,
     ContractionError,
     EmbeddedCubicGraph,
     EnumerationLimitError,
@@ -41,7 +42,7 @@ from heawood import (
     validate,
     zebra_witness,
 )
-from heawood import gf3, spins
+from heawood import defining, gf3, graphs, spins
 from perfbench.graphgen import fresh_relabelling, random_planar_cubic
 
 from conftest import (
@@ -226,6 +227,32 @@ class TestSharedReduction:
         assert count_tait_colorings_heawood(g) > 0
         assert trace_faces(g) is trace_faces(g)
         assert store.computed["trace_faces"] == 1
+
+    def test_graph_validated_once_per_graph(self, monkeypatch):
+        # A fresh, non-bipartite graph object, so nothing is derived from it yet.
+        g, _ = fresh_relabelling(random_planar_cubic(40, random.Random("validate once")),
+                                 random.Random("validate once"))
+        store = _counting_store(g)
+        searches = []
+
+        def counting_is_bipartite(graph):
+            searches.append(graph)
+            return is_bipartite(graph)
+
+        for module in (graphs, spins, defining):
+            if hasattr(module, "is_bipartite"):
+                monkeypatch.setattr(module, "is_bipartite", counting_is_bipartite)
+        report = validate(g)
+        assert report.ok and not report.bipartite
+        assert sle_rank(g) == 21
+        free = free_variable_defining_set(g)
+        assert not free.bipartite
+        outside = sorted(set(range(40)) - free.members)
+        for extra in outside[:3]:
+            assert zebra_witness(g, free.members | {extra}) is not None
+        assert validate(g) is report
+        assert store.computed["validate"] == 1
+        assert len(searches) <= 1
 
     def test_reduction_is_read_only(self):
         reduced = build_main_sle(circular_ladder(5)).reduced
@@ -741,6 +768,21 @@ class TestBipartiteVector:
     def test_cl3_rejected(self):
         with pytest.raises(NotBipartiteError):
             bipartite_heawood_vector(CL3_PAPER)
+
+    def test_given_bipartition_is_checked(self):
+        g = circular_ladder(4)
+        parts = is_bipartite(g)
+        swapped = Bipartition(parts.part_b, parts.part_a)
+        assert bipartite_heawood_vector(g, parts) == bipartite_heawood_vector(g)
+        assert bipartite_heawood_vector(g, swapped) == negated(bipartite_heawood_vector(g))
+        moved = Bipartition(parts.part_a ^ {0, 1}, parts.part_b ^ {0, 1})
+        with pytest.raises(NotBipartiteError):
+            bipartite_heawood_vector(g, moved)
+
+    def test_invented_bipartition_of_a_non_bipartite_graph_rejected(self):
+        invented = Bipartition(frozenset({0, 1, 2}), frozenset({3, 4, 5}))
+        with pytest.raises(NotBipartiteError):
+            bipartite_heawood_vector(circular_ladder(3), invented)
 
 
 class TestContractTriangle:
