@@ -94,7 +94,7 @@ def _cmd_rank(args: argparse.Namespace) -> Iterator:
     g = load_graph(args.graph)
     system = build_main_sle(g, args.drop_face)
     rank = sle_rank(g, args.drop_face)
-    rows, cols = (int(size) for size in system.matrix.shape)
+    rows, cols = len(system.row_face_ids), system.n_vertices
     bipartite = validate(g).bipartite
     yield {"rank": rank, "n": g.n_vertices // 2, "rows": rows, "cols": cols,
            "bipartite": bipartite, "dropped_face": system.dropped_face_id}, 0

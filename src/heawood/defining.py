@@ -1,11 +1,12 @@
 """Defining sets and dependence witnesses for the main spin system.
 
 A vertex set S is *linear-defining* when the columns outside S are
-linearly independent, i.e. no nonzero kernel vector vanishes on S, so
-values on S extend to at most one solution.  The minimal ones are
-therefore exactly the complements of the column bases of the system
-(matroid duality), and all have size 2n - rank: n - 1, or n when the
-graph is bipartite.  A set is *Heawood-defining* when restricting the
+linearly independent (a forward elimination over the face bit masks ANDed
+with the outside of S finds a pivot in each), i.e. no nonzero kernel vector
+vanishes on S, so values on S extend to at most one solution.  The minimal
+ones are therefore exactly the complements of the column bases (matroid
+duality), such as the free columns, and all have size 2n - rank: n - 1, or
+n when the graph is bipartite.  A set is *Heawood-defining* when restricting the
 enumerated Heawood vectors to S is injective; a linear-defining set is
 always Heawood-defining, not conversely.  Supersets of defining sets define.
 
@@ -103,8 +104,9 @@ def is_linear_defining(g: EmbeddedCubicGraph, vertices: Iterable[int]) -> bool:
     """True when the columns outside the set are linearly independent."""
     system = build_main_sle(g)
     members = _checked_members(g, vertices)
-    outside = sorted(set(range(system.n_vertices)) - members)
-    return gf3.column_submatrix_rank(system.matrix, outside) == len(outside)
+    outside = (1 << system.n_vertices) - 1 - sum(1 << v for v in members)
+    steps = gf3._echelon(((r & outside, 0) for r in system.rows), system.n_vertices)
+    return sum(1 for _ in steps) == outside.bit_count()
 
 
 def is_heawood_defining(g: EmbeddedCubicGraph, vertices: Iterable[int]) -> bool:
@@ -118,7 +120,7 @@ def is_heawood_defining(g: EmbeddedCubicGraph, vertices: Iterable[int]) -> bool:
 def free_variable_defining_set(g: EmbeddedCubicGraph) -> FreeVariableSet:
     """The free columns of the main system; always linear-defining."""
     system = build_main_sle(g)
-    pivot = set(system.reduced.pivot_cols)
+    pivot = set(system.pivot_cols)
     members = frozenset(v for v in range(system.n_vertices) if v not in pivot)
     return FreeVariableSet(members, validate(g).bipartite)
 
@@ -152,7 +154,7 @@ def minimal_defining_sets(
     if limit < 0:
         raise ValueError("max_size must be non-negative")
     if mode == "linear":
-        kernel = build_main_sle(g).reduced.parametric()
+        kernel = build_main_sle(g).reduced
         free = len(kernel.free_cols)
         if limit < free:
             return ()

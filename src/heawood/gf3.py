@@ -8,20 +8,23 @@ pivot columns and kernel parametrizations are reproducible bit for bit.
 ``rref`` eliminates on bit-sliced rows (Boothby and Bradshaw): a row is two
 Python ints, bit j of ``ones`` set where entry j is 1 and bit j of ``twos``
 where it is 2.  Scaling by 2 swaps the planes and adding a row is a dozen
-whole-row bitwise operations.  One forward pass buckets rows by their leading
-column and yields the pivots in column order.  ``rref`` takes them all and goes
-back by one bitset per pivot column, read once from the echelon form (clearing
-a pivot changes no earlier pivot column), so only rows nonzero in the pivot
-column are touched: the output is the unique reduced form, the same bytes as
-plain Gauss-Jordan's.  ``column_submatrix_rank`` counts the pivots, and
-``first_dependency`` stops at the first column f without one to back-substitute
-over those before it: the one kernel vector that is 1 at f and 0 after f.
+whole-row bitwise operations.  One forward pass, ``_echelon``, takes such rows
+(dense entry points convert theirs first), buckets them by leading column and
+yields the pivots in column order.  ``rref`` takes them all and goes back by
+one bitset per pivot column, read once from the echelon form (clearing a pivot
+changes no earlier pivot column), so only rows nonzero in the pivot column are
+touched: the output is the unique reduced form, the same bytes as plain
+Gauss-Jordan's, and its ``RrefResult`` parametrizes the kernel by the free
+columns.  ``column_submatrix_rank`` counts the pivots, and ``first_dependency``
+stops at the first column f without one to back-substitute over those before
+it: the one kernel vector that is 1 at f and 0 after f.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,7 +34,6 @@ __all__ = [
     "rref",
     "column_submatrix_rank",
     "first_dependency",
-    "ParametricSolution",
     "solve_parametric",
     "row_combination",
 ]
@@ -61,6 +63,9 @@ def as_gf3(values, ndim: int = 2) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RrefResult:
+    """A reduced form and its pivot columns: any values of the free columns
+    extend to exactly one kernel vector, all zeros to the zero vector."""
+
     rref: np.ndarray
     pivot_cols: tuple[int, ...]
 
@@ -68,11 +73,31 @@ class RrefResult:
     def rank(self) -> int:
         return len(self.pivot_cols)
 
-    def parametric(self) -> ParametricSolution:
-        """The kernel of the reduced matrix, parametrized by its free columns."""
-        free_cols = tuple(sorted(set(range(self.rref.shape[1])) - set(self.pivot_cols)))
-        coeffs = (3 - self.rref[: self.rank][:, list(free_cols)].astype(np.int64)) % 3
-        return ParametricSolution(self.pivot_cols, free_cols, coeffs.astype(np.uint8))
+    @cached_property
+    def free_cols(self) -> tuple[int, ...]:
+        pivots = set(self.pivot_cols)
+        return tuple(c for c in range(self.rref.shape[1]) if c not in pivots)
+
+    @cached_property
+    def pivot_from_free(self) -> np.ndarray:
+        """Read-only, shape (rank, free): pivot variable i is row i dotted with the free values."""
+        coeffs = (3 - self.rref[: self.rank][:, list(self.free_cols)]) % 3
+        coeffs.setflags(write=False)
+        return coeffs
+
+    def substitute_batch(self, assignments) -> np.ndarray:
+        """Turn each row of free-variable values into a full kernel vector."""
+        arr = as_gf3(assignments)
+        if arr.shape[1] != len(self.free_cols):
+            raise ValueError(
+                f"expected assignments of shape (*, {len(self.free_cols)}), got {arr.shape}"
+            )
+        full = np.zeros((arr.shape[0], self.rref.shape[1]), dtype=np.uint8)
+        if self.free_cols:
+            full[:, list(self.free_cols)] = arr
+        if self.pivot_cols:
+            full[:, list(self.pivot_cols)] = (arr.astype(np.int64) @ self.pivot_from_free.T) % 3
+        return full
 
 
 def _planes(bits: np.ndarray) -> list[int]:
@@ -101,10 +126,15 @@ def _subtract(o: int, t: int, a: int, b: int, zero_p: int, bit: int) -> tuple[in
     return (o & zero_p) | (y1 & zero_x) | (t & y2), (t & zero_p) | (y2 & zero_x) | (o & y1)
 
 
-def _echelon(mat: np.ndarray) -> Iterator[tuple[int, int, int]]:
+def _rows(mat: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Each row of a GF(3) array as its (ones, twos) bit planes."""
+    return zip(_planes(mat == 1), _planes(mat == 2))
+
+
+def _echelon(rows: Iterable[tuple[int, int]], n_cols: int) -> Iterator[tuple[int, int, int]]:
     """The forward pass: each pivot column in order, with its echelon row's planes."""
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(mat.shape[1])]
-    for o, t in zip(_planes(mat == 1), _planes(mat == 2)):
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(n_cols)]
+    for o, t in rows:
         if z := o | t:
             buckets[(z & -z).bit_length() - 1].append((o, t))
     for col, bucket in enumerate(buckets):
@@ -127,7 +157,7 @@ def rref(matrix) -> RrefResult:
     """The reduced row echelon form mod 3 and its pivot columns, both unique for the matrix."""
     mat = as_gf3(matrix)
     n_rows, n_cols = mat.shape
-    steps = list(_echelon(mat))
+    steps = list(_echelon(_rows(mat), n_cols))
     pivots, ones, twos = ([step[k] for step in steps] for k in range(3))
     rank = len(pivots)
     if rank:
@@ -152,7 +182,7 @@ def column_submatrix_rank(matrix, cols: Iterable[int]) -> int:
     for c in selected:
         if not 0 <= c < mat.shape[1]:
             raise IndexError(f"column {c} out of range for {mat.shape[1]} columns")
-    return sum(1 for _ in _echelon(mat[:, selected]))
+    return sum(1 for _ in _echelon(_rows(mat[:, selected]), len(selected)))
 
 
 def first_dependency(matrix) -> np.ndarray | None:
@@ -160,7 +190,7 @@ def first_dependency(matrix) -> np.ndarray | None:
     before it and 0 after f, unique as those are independent; None if no f exists."""
     mat = as_gf3(matrix)
     rows = []
-    for col, a, b in _echelon(mat):
+    for col, a, b in _echelon(_rows(mat), mat.shape[1]):
         if col > len(rows):
             break
         rows.append((a, b))
@@ -174,43 +204,9 @@ def first_dependency(matrix) -> np.ndarray | None:
     return (_unplanes([ones], mat.shape[1]) + 2 * _unplanes([twos], mat.shape[1]))[0]
 
 
-@dataclass(frozen=True, eq=False)
-class ParametricSolution:
-    """Kernel of a matrix, with pivot variables driven by the free ones.
-
-    A full kernel vector is recovered from any assignment of the free
-    variables; the all-zero assignment gives the zero vector.
-    """
-
-    pivot_cols: tuple[int, ...]
-    free_cols: tuple[int, ...]
-    pivot_from_free: np.ndarray  # shape (len(pivot_cols), len(free_cols))
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.pivot_cols) + len(self.free_cols)
-
-    def substitute(self, free_values: Sequence[int]) -> np.ndarray:
-        return self.substitute_batch(np.asarray(free_values).reshape(1, -1))[0]
-
-    def substitute_batch(self, assignments) -> np.ndarray:
-        """Turn each row of free-variable values into a full kernel vector."""
-        arr = as_gf3(assignments)
-        if arr.shape[1] != len(self.free_cols):
-            raise ValueError(
-                f"expected assignments of shape (*, {len(self.free_cols)}), got {arr.shape}"
-            )
-        full = np.zeros((arr.shape[0], self.n_cols), dtype=np.uint8)
-        if self.free_cols:
-            full[:, list(self.free_cols)] = arr
-        if self.pivot_cols:
-            full[:, list(self.pivot_cols)] = (arr.astype(np.int64) @ self.pivot_from_free.T) % 3
-        return full
-
-
-def solve_parametric(matrix) -> ParametricSolution:
-    """Parametrize the kernel of ``matrix`` by its free columns."""
-    return rref(matrix).parametric()
+def solve_parametric(matrix) -> RrefResult:
+    """``rref``, named for the kernel it parametrizes by the free columns."""
+    return rref(matrix)
 
 
 def row_combination(matrix, coefficients) -> np.ndarray:

@@ -33,7 +33,7 @@ from functools import wraps
 from pathlib import Path
 from typing import Sequence
 
-from .errors import FaceTraversalError, GraphFormatError, InvalidGraphError
+from .errors import FaceTraversalError, GraphFormatError, InvalidGraphError, NotBipartiteError
 
 __all__ = [
     "Edge",
@@ -49,7 +49,6 @@ __all__ = [
     "edges",
     "incident_edges_ccw",
     "relabel",
-    "as_cubic",
     "parse_graph",
     "parse_cubic",
     "format_graph",
@@ -331,6 +330,18 @@ def is_bipartite(g) -> Bipartition | None:
     return Bipartition(part_a, frozenset(range(n)) - part_a)
 
 
+def _checked_bipartition(g, parts: Bipartition | None) -> Bipartition:
+    """``is_bipartite(g)``; ``NotBipartiteError`` if there is none or a given
+    ``parts`` is not it either way round."""
+    found = is_bipartite(g)
+    if found is None:
+        raise NotBipartiteError("graph is not bipartite")
+    # A connected bipartite graph has one bipartition, up to swapping its parts.
+    if parts not in (None, found, Bipartition(found.part_b, found.part_a)):
+        raise NotBipartiteError("the given parts are not the bipartition of the graph")
+    return found
+
+
 def edges(g) -> tuple[Edge, ...]:
     """All edges as sorted vertex pairs, in sorted order: the canonical indexing."""
     triples = _neighbor_triples(g)
@@ -361,11 +372,6 @@ def relabel(g, permutation: Sequence[int]):
             hint = tuple(perm[v] for v in g.outer_face_hint)
         return EmbeddedCubicGraph(tuple(new_triples), hint)
     return CubicGraph(tuple(new_triples))
-
-
-def as_cubic(g: EmbeddedCubicGraph) -> CubicGraph:
-    """Forget the embedding, keeping only adjacency."""
-    return CubicGraph(g.rotations)
 
 
 def parse_graph(text: str) -> EmbeddedCubicGraph:
@@ -419,7 +425,7 @@ def parse_graph(text: str) -> EmbeddedCubicGraph:
 
 def parse_cubic(text: str) -> CubicGraph:
     """Parse the same text format, ignoring rotation-order semantics."""
-    return as_cubic(parse_graph(text))
+    return CubicGraph(parse_graph(text).rotations)
 
 
 def format_graph(g) -> str:

@@ -14,8 +14,8 @@ from collections import deque
 from typing import Iterator, Sequence
 
 from .colorings import TaitColoring
-from .errors import EnumerationLimitError, InvalidGraphError, NotBipartiteError
-from .graphs import Bipartition, Edge, _neighbor_triples, edges, is_bipartite
+from .errors import EnumerationLimitError, InvalidGraphError
+from .graphs import Bipartition, Edge, _checked_bipartition, _neighbor_triples, edges
 
 __all__ = [
     "count_tait_oracle",
@@ -177,13 +177,7 @@ def bipartite_tait_construct(g, parts: Bipartition | None = None) -> TaitColorin
     """
     adjacency = _neighbor_triples(g)
     _check_cubic(adjacency)
-    found = is_bipartite(g)
-    if found is None:
-        raise NotBipartiteError("graph is not bipartite")
-    # A connected bipartite graph has one bipartition, up to swapping its parts.
-    if parts not in (None, found, Bipartition(found.part_b, found.part_a)):
-        raise NotBipartiteError("the given parts are not the bipartition of the graph")
-    part_a = sorted(found.part_a)
+    part_a = sorted(_checked_bipartition(g, parts).part_a)
     first = _perfect_matching(adjacency, part_a, [-1] * len(adjacency))
     second = _perfect_matching(adjacency, part_a, first)
     slot = {e: i for i, e in enumerate(edges(g))}

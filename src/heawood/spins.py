@@ -44,9 +44,9 @@ from .errors import (
     InvalidGraphError,
     ImproperColoringError,
     NotAHeawoodVectorError,
-    NotBipartiteError,
 )
 from .graphs import (
+    _checked_bipartition,
     _per_graph,
     Bipartition,
     Edge,
@@ -54,7 +54,6 @@ from .graphs import (
     Face,
     edges,
     incident_edges_ccw,
-    is_bipartite,
     trace_faces,
     validate,
 )
@@ -98,26 +97,35 @@ _VERTEX_FACTOR = np.array(
 class HeawoodSystem:
     """The main face-equation system of an embedded cubic graph.
 
-    Row i of ``matrix`` is the 0/1 membership vector of the face with id
-    ``row_face_ids[i]``; column j belongs to vertex j (the vertex index map
-    is the identity).  ``faces`` keeps all n+2 traced faces, including the
-    dropped one.  ``reduced`` is the matrix's reduced row echelon form,
-    eliminated on first use and then shared, read-only, by the rank, the
-    free columns, the kernel and the column bases.
+    Row i is the face with id ``row_face_ids[i]``, stored in ``rows`` as a
+    vertex bit mask: bit v set when vertex v lies on the face.  Column j
+    belongs to vertex j (the vertex index map is the identity).  ``faces``
+    keeps all n+2 traced faces, including the dropped one.  ``pivot_cols``
+    comes from one forward elimination over the masks; the dense 0/1
+    ``matrix`` and its reduced row echelon form ``reduced`` are built on
+    first use and then shared, read-only, by the kernel and the witnesses.
     """
 
-    matrix: np.ndarray
+    rows: tuple[int, ...]
+    n_vertices: int
     faces: tuple[Face, ...]
     row_face_ids: tuple[int, ...]
     dropped_face_id: int
 
     @property
-    def n_vertices(self) -> int:
-        return int(self.matrix.shape[1])
-
-    @property
     def dropped_face(self) -> Face:
         return self.faces[self.dropped_face_id]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        matrix = gf3._unplanes(list(self.rows), self.n_vertices)
+        matrix.setflags(write=False)
+        return matrix
+
+    @cached_property
+    def pivot_cols(self) -> tuple[int, ...]:
+        steps = gf3._echelon(((r, 0) for r in self.rows), self.n_vertices)
+        return tuple(col for col, _, _ in steps)
 
     @cached_property
     def reduced(self) -> gf3.RrefResult:
@@ -178,16 +186,13 @@ def _main_sle(g: EmbeddedCubicGraph, drop_face_id: int | None) -> HeawoodSystem:
     elif not 0 <= drop_face_id < len(faces):
         raise ValueError(f"face id {drop_face_id} out of range for {len(faces)} faces")
     row_face_ids = tuple(f.face_id for f in faces if f.face_id != drop_face_id)
-    matrix = np.zeros((len(row_face_ids), g.n_vertices), dtype=np.uint8)
-    for row, face_id in enumerate(row_face_ids):
-        matrix[row, list(faces[face_id].vertex_cycle)] = 1
-    matrix.setflags(write=False)
-    return HeawoodSystem(matrix, faces, row_face_ids, drop_face_id)
+    rows = tuple(sum(1 << v for v in faces[face_id].vertex_cycle) for face_id in row_face_ids)
+    return HeawoodSystem(rows, g.n_vertices, faces, row_face_ids, drop_face_id)
 
 
 def sle_rank(g: EmbeddedCubicGraph, drop_face_id: int | None = None) -> int:
     """Rank of the main system: n+1 when non-bipartite, n when bipartite."""
-    rank = build_main_sle(g, drop_face_id).reduced.rank
+    rank = len(build_main_sle(g, drop_face_id).pivot_cols)
     n = g.n_vertices // 2
     expected = n if validate(g).bipartite else n + 1
     if rank != expected:
@@ -204,7 +209,7 @@ def enumerate_heawood_vectors(g: EmbeddedCubicGraph) -> tuple[HeawoodVector, ...
     Free spins are fixed one at a time, the next from the pending pivot row
     with the fewest unfixed; a branch dies once a fixed row's pivot spin is 0.
     """
-    solution = build_main_sle(g).reduced.parametric()
+    solution = build_main_sle(g).reduced
     coeffs = solution.pivot_from_free
     # Bit j set means free spin j is 2 = -1; it moves each pivot spin by its coefficient.
     ones, twos = gf3._planes(coeffs == 1), gf3._planes(coeffs == 2)
@@ -383,11 +388,7 @@ def bipartite_heawood_vector(
     A given ``parts`` must be the graph's bipartition, either way round.
     """
     _valid_faces(g)
-    found = is_bipartite(g)
-    if found is None:
-        raise NotBipartiteError("graph is not bipartite")
-    if parts not in (None, found, Bipartition(found.part_b, found.part_a)):
-        raise NotBipartiteError("the given parts are not the bipartition of the graph")
+    found = _checked_bipartition(g, parts)
     part_a = (parts or found).part_a
     return HeawoodVector(tuple(1 if v in part_a else 2 for v in range(g.n_vertices)))
 

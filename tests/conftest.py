@@ -218,7 +218,7 @@ def reference_zebra_witness(g, vertices) -> ZebraWitness | None:
     if not kernel.free_cols:
         return None
     first = [1] + [0] * (len(kernel.free_cols) - 1)
-    coefficients = tuple(int(x) for x in kernel.substitute(first))
+    coefficients = tuple(int(x) for x in kernel.substitute_batch([first])[0])
     support = combination_support(system, coefficients)
     if not support <= members:
         raise AssertionError("witness support leaked outside the queried set")
@@ -242,7 +242,7 @@ def reference_enumeration(g) -> tuple[HeawoodVector, ...]:
     every everywhere-nonzero assignment of the free columns is tried, and
     those whose pivot spins include a 0 are discarded.
     """
-    solution = build_main_sle(g).reduced.parametric()
+    solution = build_main_sle(g).reduced
     full = solution.substitute_batch(_sign_patterns(len(solution.free_cols)))
     keep = (full != 0).all(axis=1)
     spin_tuples = sorted(tuple(int(x) for x in row) for row in full[keep])

@@ -111,7 +111,7 @@ def shared_lead_rows(rng, n_rows: int, n_cols: int) -> np.ndarray:
     rows = (rng.integers(0, 3, size=(n_rows, len(base))) @ base) % 3
     quarter = n_rows // 4
     rows[:quarter] = 0
-    rows[quarter : 2 * quarter] = (rows[-quarter:] * rng.integers(1, 3, size=(quarter, 1))) % 3
+    rows[quarter : 2 * quarter] = (rows[n_rows - quarter :] * rng.integers(1, 3, size=(quarter, 1))) % 3
     rng.shuffle(rows)
     return rows
 
@@ -318,13 +318,25 @@ class TestColumnSubmatrixRank:
             mat = shared_lead_rows(rng, int(rng.integers(4, 30)), int(rng.integers(1, 30)))
             assert gf3.column_submatrix_rank(mat, range(mat.shape[1])) == len(reference_rref(mat)[1])
 
+    def test_row_form_forward_pass(self):
+        # _echelon's own input: (ones, twos) bit planes and a column count, no array.
+        rng = np.random.default_rng(26)
+        for n_rows in range(1, 61):
+            wide = int(rng.integers(n_rows, 2 * n_rows + 1))
+            for n_cols in (1, int(rng.integers(1, n_rows + 1)), wide):
+                mat = shared_lead_rows(rng, n_rows, n_cols)
+                rows = [tuple(sum(1 << j for j in np.flatnonzero(row == x).tolist()) for x in (1, 2))
+                        for row in mat]
+                pivots = tuple(col for col, _, _ in gf3._echelon(rows, n_cols))
+                assert pivots == reference_rref(mat)[1]
+
 
 def reference_first_dependency(matrix) -> np.ndarray | None:
     """The first kernel basis vector of the parametric solution, or None."""
     kernel = gf3.solve_parametric(matrix)
     if not kernel.free_cols:
         return None
-    return kernel.substitute([1] + [0] * (len(kernel.free_cols) - 1))
+    return kernel.substitute_batch([[1] + [0] * (len(kernel.free_cols) - 1)])[0]
 
 
 def assert_same_dependency(matrix) -> None:
@@ -419,17 +431,17 @@ class TestSolveParametric:
     def test_identity_has_no_free_variables(self):
         sol = gf3.solve_parametric(np.eye(3, dtype=int))
         assert sol.free_cols == ()
-        assert list(sol.substitute([])) == [0, 0, 0]
+        assert list(sol.substitute_batch([[]])[0]) == [0, 0, 0]
 
     def test_zero_matrix_all_free(self):
         sol = gf3.solve_parametric(np.zeros((2, 3), dtype=int))
         assert sol.free_cols == (0, 1, 2)
-        assert list(sol.substitute([1, 2, 1])) == [1, 2, 1]
+        assert list(sol.substitute_batch([[1, 2, 1]])[0]) == [1, 2, 1]
 
     @given(small_matrices())
     def test_zero_assignment_gives_zero_vector(self, mat):
         sol = gf3.solve_parametric(mat)
-        assert (sol.substitute([0] * len(sol.free_cols)) == 0).all()
+        assert (sol.substitute_batch([[0] * len(sol.free_cols)])[0] == 0).all()
 
     @given(small_matrices(), st.data())
     def test_any_assignment_lands_in_kernel(self, mat, data):
@@ -437,20 +449,18 @@ class TestSolveParametric:
         values = data.draw(
             st.lists(st.integers(0, 2), min_size=len(sol.free_cols), max_size=len(sol.free_cols))
         )
-        vec = sol.substitute(values)
+        vec = sol.substitute_batch([values])[0]
         assert (matvec(mat, vec) == 0).all()
 
     @pytest.mark.parametrize("bad", [[2.7], [1.5], ["1"], [float("nan")]])
     def test_substitute_rejects_non_integers(self, bad):
         sol = gf3.solve_parametric([[1, 1]])
         with pytest.raises(ValueError, match="integers"):
-            sol.substitute(bad)
-        with pytest.raises(ValueError, match="integers"):
             sol.substitute_batch([bad])
 
     def test_substitute_accepts_integral_values(self):
         sol = gf3.solve_parametric([[1, 1]])
-        assert sol.substitute([2.0]).tolist() == [1, 2]
+        assert sol.substitute_batch([[2.0]])[0].tolist() == [1, 2]
         assert sol.substitute_batch([[3**80 + 1], [-1]]).tolist() == [[2, 1], [1, 2]]
 
     def test_batch_agrees_with_single(self):
@@ -459,7 +469,7 @@ class TestSolveParametric:
         assignments = list(itertools.product((0, 1, 2), repeat=len(sol.free_cols)))
         batch = sol.substitute_batch(np.array(assignments))
         for row, assignment in zip(batch, assignments):
-            assert np.array_equal(row, sol.substitute(assignment))
+            assert np.array_equal(row, sol.substitute_batch([assignment])[0])
 
 
 class TestRowOps:

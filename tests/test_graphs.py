@@ -7,17 +7,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heawood import (
+    CubicGraph,
     EmbeddedCubicGraph,
     FaceTraversalError,
     GraphFormatError,
     InvalidGraphError,
-    as_cubic,
     circular_ladder,
     edges,
     format_graph,
     incident_edges_ccw,
     is_bipartite,
     k4,
+    parse_cubic,
     parse_graph,
     petersen,
     relabel,
@@ -252,6 +253,7 @@ class TestTextFormat:
         with pytest.raises(GraphFormatError):
             parse_graph("vertices 2\n0: a b c\n1: 0 0 0\n")
 
-    def test_as_cubic_strips_embedding(self):
-        c = as_cubic(CL3_PAPER)
+    def test_parse_cubic_strips_embedding(self):
+        c = parse_cubic(format_graph(CL3_PAPER))
+        assert type(c) is CubicGraph
         assert c.adjacency == CL3_PAPER.rotations

@@ -6,11 +6,11 @@ import pytest
 
 from heawood import (
     Bipartition,
+    CubicGraph,
     EmbeddedCubicGraph,
     EnumerationLimitError,
     InvalidGraphError,
     NotBipartiteError,
-    as_cubic,
     bipartite_tait_construct,
     circular_ladder,
     count_tait_oracle,
@@ -61,12 +61,12 @@ class TestCount:
             assert count % 6 == 0
 
     def test_relabeling_invariance(self):
-        base = as_cubic(CL3_PAPER)
+        base = CubicGraph(CL3_PAPER.rotations)
         for perm in [(1, 2, 3, 4, 5, 0), (5, 4, 3, 2, 1, 0), (2, 0, 4, 1, 5, 3)]:
             assert count_tait_oracle(relabel(base, perm)) == 6
 
     def test_non_cubic_rejected(self):
-        broken = as_cubic(CL3_PAPER)
+        broken = CubicGraph(CL3_PAPER.rotations)
         bad = list(broken.adjacency)
         bad[0] = (1, 1, 2)
         with pytest.raises(InvalidGraphError):

@@ -15,7 +15,7 @@ PUBLIC_NAMES = {
     "catalog", "circular_ladder", "cln_formula", "count_zero_sum_sequences", "k4",
     "mobius_formula", "mobius_ladder", "petersen",
     # graphs
-    "Bipartition", "CubicGraph", "EmbeddedCubicGraph", "Face", "ValidationReport", "as_cubic",
+    "Bipartition", "CubicGraph", "EmbeddedCubicGraph", "Face", "ValidationReport",
     "edges", "format_graph", "incident_edges_ccw", "is_bipartite", "load_cubic", "load_graph",
     "parse_cubic", "parse_graph", "relabel", "trace_faces", "validate",
     # oracle
@@ -29,7 +29,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_pinned_and_resolved():
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 58
     assert len(heawood.__all__) == len(set(heawood.__all__))
     assert set(heawood.__all__) == PUBLIC_NAMES
     namespace: dict = {}

@@ -22,6 +22,7 @@ from heawood import (
     TaitColoring,
     bipartite_heawood_vector,
     build_main_sle,
+    catalog,
     circular_ladder,
     cln_formula,
     contract_triangle,
@@ -33,7 +34,9 @@ from heawood import (
     heawood_to_tait,
     is_bipartite,
     is_proper_coloring,
+    format_graph,
     free_variable_defining_set,
+    is_linear_defining,
     k4,
     minimal_defining_sets,
     sle_rank,
@@ -43,6 +46,7 @@ from heawood import (
     zebra_witness,
 )
 from heawood import defining, gf3, graphs, spins
+from heawood.cli import main
 from perfbench.graphgen import fresh_relabelling, random_planar_cubic
 
 from conftest import (
@@ -254,6 +258,48 @@ class TestSharedReduction:
         assert store.computed["validate"] == 1
         assert len(searches) <= 1
 
+    def test_structure_queries_read_only_the_face_masks(self, monkeypatch, tmp_path, capsys):
+        # A fresh graph object, so nothing is derived from it yet.
+        g, _ = fresh_relabelling(circular_ladder(7), random.Random("face masks"))
+
+        def refuse(*args):
+            raise AssertionError("a structure query built the dense matrix or its reduced form")
+
+        monkeypatch.setattr(gf3, "rref", refuse)
+        monkeypatch.setattr(gf3, "_unplanes", refuse)
+        assert sle_rank(g) == 8
+        free = free_variable_defining_set(g)
+        assert len(free.members) == 6
+        assert is_linear_defining(g, free.members)
+        assert not is_linear_defining(g, sorted(free.members)[1:])
+        system = build_main_sle(g)
+        assert "matrix" not in vars(system) and "reduced" not in vars(system)
+        path = tmp_path / "cl7.txt"
+        path.write_text(format_graph(g), encoding="utf-8")
+        assert main(["rank", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("rank 8 (8x14 system, n=7, non-bipartite")
+
+    def test_masks_match_the_face_by_face_matrix(self):
+        rng = random.Random("face masks")
+        graphs = [g for g in catalog().values() if isinstance(g, EmbeddedCubicGraph)]
+        graphs += [random_planar_cubic(v, rng) for v in (8, 16, 32, 64, 100, 150, 200, 300, 400)]
+        for g in graphs:
+            system = build_main_sle(g)
+            dense = np.zeros((len(system.row_face_ids), g.n_vertices), dtype=np.uint8)
+            for row, face_id in enumerate(system.row_face_ids):
+                dense[row, list(system.faces[face_id].vertex_cycle)] = 1
+            assert system.matrix.dtype == dense.dtype and system.matrix.shape == dense.shape
+            assert system.matrix.tobytes() == dense.tobytes()
+            assert not system.matrix.flags.writeable
+            assert system.pivot_cols == gf3.rref(system.matrix).pivot_cols
+
+    def test_kernel_coefficients_are_read_only(self):
+        reduced = build_main_sle(circular_ladder(5)).reduced
+        assert reduced.pivot_from_free is reduced.pivot_from_free
+        assert not reduced.pivot_from_free.flags.writeable
+        with pytest.raises(ValueError):
+            reduced.pivot_from_free[0, 0] = 2
+
     def test_reduction_is_read_only(self):
         reduced = build_main_sle(circular_ladder(5)).reduced
         assert not reduced.rref.flags.writeable
@@ -324,7 +370,7 @@ class TestEnumerate:
         survivors = {
             pattern
             for pattern in [(1, 1), (1, 2), (2, 1), (2, 2)]
-            if (solution.substitute(pattern) != 0).all()
+            if (solution.substitute_batch([pattern])[0] != 0).all()
         }
         assert survivors == {(1, 1), (2, 2)}
 
@@ -365,7 +411,7 @@ class TestPrunedEnumeration:
     def test_beyond_the_reference_matches_the_count(self, n_vertices, seed):
         g = random_planar_cubic(n_vertices, random.Random(f"beyond:{n_vertices}:{seed}"))
         system = build_main_sle(g)
-        assert len(system.reduced.parametric().free_cols) >= 23
+        assert len(system.reduced.free_cols) >= 23
         vectors = enumerate_heawood_vectors(g)
         assert 3 * len(vectors) == count_tait_colorings_heawood(g)
         spins = np.array([v.spins for v in vectors], dtype=np.int64)
@@ -375,13 +421,13 @@ class TestPrunedEnumeration:
     def test_back_substitutes_only_the_survivors(self, monkeypatch):
         g = random_planar_cubic(32, random.Random("survivors"))
         batches = []
-        substitute_batch = gf3.ParametricSolution.substitute_batch
+        substitute_batch = gf3.RrefResult.substitute_batch
 
         def spy(solution, assignments):
             batches.append(len(assignments))
             return substitute_batch(solution, assignments)
 
-        monkeypatch.setattr(gf3.ParametricSolution, "substitute_batch", spy)
+        monkeypatch.setattr(gf3.RrefResult, "substitute_batch", spy)
         vectors = enumerate_heawood_vectors(g)
         assert batches == [len(vectors)]
         assert 0 < 3 * len(vectors) == count_tait_colorings_heawood(g)
